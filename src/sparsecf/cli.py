@@ -7,6 +7,7 @@ loss), 2 for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,13 @@ from .data import DataFormatError, load_dataset, load_interactions, save_dataset
 from .embeddings import load_checkpoint, target_active_count
 from .evaluation import popularity_sparsity_correlation, sparsity_profile
 from .synth import generate_interactions
-from .trainer import METHODS, RunConfig, TrainingAborted, train
+from .trainer import METHODS, RunConfig, TrainingAborted, is_complete, train, write_csv
+
+RUNS_COLUMNS = ("sparsity", "method", "seed", "run_id", "status", "recall", "ndcg", "hr",
+                "macs_train", "macs_infer", "memory")
+SWEEP_COLUMNS = ("method", "sparsity", "seed_count", "recall_mean", "recall_std", "ndcg_mean",
+                 "ndcg_std", "macs_train", "macs_infer", "memory", "status")
+PROFILE_COLUMNS = ("group_id", "side", "mean_popularity", "mean_sparsity")
 
 _CONFIG_FLAGS = {
     "method": str,
@@ -177,11 +184,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_csv(path) -> tuple[list, list]:
+    """(header, rows as dicts of strings) of a CSV file."""
+    with Path(path).open(encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames or [], list(reader)
+
+
 def _read_final_metrics(path) -> dict:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
-    last = lines[-1].split(",")
-    row = dict(zip(header, last))
+    row = _read_csv(path)[1][-1]
     for key in ("recall", "ndcg", "hr", "sparsity", "macs_train_cum", "macs_infer"):
         row[key] = float(row[key])
     row["iteration"] = int(row["iteration"])
@@ -189,28 +200,25 @@ def _read_final_metrics(path) -> dict:
 
 
 def _sweep_cell(data_dir: str, cfg_dict: dict, run_dir: str, resume: bool) -> dict:
-    """Run (or resume) one sweep cell; never raises, reports status instead."""
+    """Run (or resume) one sweep cell; never raises, reports status instead.
+
+    A cell resumes only from a finished run of the same resolved config.
+    """
     run_path = Path(run_dir)
     try:
         cfg = RunConfig(**cfg_dict)
-        done = resume and (run_path / "metrics.csv").exists() and (
-            run_path / "checkpoint.final"
-        ).exists()
+        done = resume and is_complete(run_path, cfg)
         if done:
             row = _read_final_metrics(run_path / "metrics.csv")
-            run_id = row["run_id"]
         else:
-            ds = _load_dataset_cached(data_dir)
-            art = train(cfg, ds, out_dir=run_path)
-            row = art.final_metrics
-            run_id = art.run_id
+            row = train(cfg, _load_dataset_cached(data_dir), out_dir=run_path).final_metrics
         manifest = json.loads((run_path / "split_manifest.json").read_text(encoding="utf-8"))
         total = (manifest["num_users"] + manifest["num_items"]) * cfg.dim
         active = target_active_count(total, cfg.effective_sparsity)
         return {
             "status": "ok",
-            "resumed": bool(done),
-            "run_id": run_id,
+            "resumed": done,
+            "run_id": row["run_id"],
             "recall": row["recall"],
             "ndcg": row["ndcg"],
             "hr": row["hr"],
@@ -232,10 +240,28 @@ def _sweep_cell(data_dir: str, cfg_dict: dict, run_dir: str, resume: bool) -> di
         }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _sweep_row(method: str, s: float, results: list) -> dict:
+    """sweep.csv row of one (sparsity, method) group: seed mean and std of
+    the finished cells."""
+    ok = [r for r in results if r["status"] == "ok"]
+    failed = len(results) - len(ok)
+    # with no finished cell, the failed cells' nan metrics and zero memory carry through
+    cells = ok or results
+    recalls = np.array([r["recall"] for r in cells])
+    ndcgs = np.array([r["ndcg"] for r in cells])
+    return {
+        "method": method,
+        "sparsity": float(s),
+        "seed_count": len(ok),
+        "recall_mean": float(recalls.mean()),
+        "recall_std": float(recalls.std()),
+        "ndcg_mean": float(ndcgs.mean()),
+        "ndcg_std": float(ndcgs.std()),
+        "macs_train": float(np.mean([r["macs_train"] for r in cells])),
+        "macs_infer": float(np.mean([r["macs_infer"] for r in cells])),
+        "memory": int(np.mean([r["memory"] for r in cells])),
+        "status": "ok" if failed == 0 else f"{failed} failed",
+    }
 
 
 def cmd_sweep(args) -> int:
@@ -258,74 +284,16 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_cell(*job) for job in jobs]
 
-    runs_lines = ["sparsity,method,seed,run_id,status,recall,ndcg,hr,macs_train,macs_infer,memory"]
+    groups: dict = {}
     for (s, method, seed), res in zip(cells, results):
-        runs_lines.append(
-            ",".join(
-                [
-                    _fmt(float(s)),
-                    method,
-                    str(seed),
-                    str(res["run_id"]),
-                    res["status"].replace(",", ";"),
-                    _fmt(res["recall"]),
-                    _fmt(res["ndcg"]),
-                    _fmt(res["hr"]),
-                    _fmt(res["macs_train"]),
-                    _fmt(res["macs_infer"]),
-                    str(res["memory"]),
-                ]
-            )
-        )
         tag = " (resumed)" if res["resumed"] else ""
         print(f"cell method={method} s={s:g} seed={seed}: {res['status']}{tag}")
-    (out_dir / "runs.csv").write_text("\n".join(runs_lines) + "\n", encoding="utf-8")
-
-    sweep_lines = [
-        "method,sparsity,seed_count,recall_mean,recall_std,ndcg_mean,ndcg_std,"
-        "macs_train,macs_infer,memory,status"
-    ]
-    seen = []
-    for s, method, _ in cells:
-        if (s, method) not in seen:
-            seen.append((s, method))
-    for s, method in seen:
-        cell_res = [
-            r
-            for (cs, cm, _), r in zip(cells, results)
-            if (cs, cm) == (s, method) and r["status"] == "ok"
-        ]
-        failed = sum(
-            1
-            for (cs, cm, _), r in zip(cells, results)
-            if (cs, cm) == (s, method) and r["status"] != "ok"
-        )
-        status = "ok" if failed == 0 else f"{failed} failed"
-        if cell_res:
-            recalls = np.array([r["recall"] for r in cell_res])
-            ndcgs = np.array([r["ndcg"] for r in cell_res])
-            sweep_lines.append(
-                ",".join(
-                    [
-                        method,
-                        _fmt(float(s)),
-                        str(len(cell_res)),
-                        _fmt(float(recalls.mean())),
-                        _fmt(float(recalls.std())),
-                        _fmt(float(ndcgs.mean())),
-                        _fmt(float(ndcgs.std())),
-                        _fmt(float(np.mean([r["macs_train"] for r in cell_res]))),
-                        _fmt(float(np.mean([r["macs_infer"] for r in cell_res]))),
-                        str(int(np.mean([r["memory"] for r in cell_res]))),
-                        status,
-                    ]
-                )
-            )
-        else:
-            sweep_lines.append(
-                f"{method},{_fmt(float(s))},0,nan,nan,nan,nan,nan,nan,0,{status}"
-            )
-    (out_dir / "sweep.csv").write_text("\n".join(sweep_lines) + "\n", encoding="utf-8")
+        groups.setdefault((s, method), []).append(res)
+    runs = [res | {"sparsity": float(s), "method": m, "seed": seed}
+            for (s, m, seed), res in zip(cells, results)]
+    write_csv(out_dir / "runs.csv", RUNS_COLUMNS, runs)
+    sweep = [_sweep_row(method, s, group) for (s, method), group in groups.items()]
+    write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, sweep)
     print(f"wrote {out_dir / 'sweep.csv'} and {out_dir / 'runs.csv'}")
     return 0 if all(r["status"] == "ok" for r in results) else 1
 
@@ -350,17 +318,17 @@ def cmd_profile(args) -> int:
         print("error: dataset does not match checkpoint dimensions", file=sys.stderr)
         return 2
 
-    lines = ["group_id,side,mean_popularity,mean_sparsity"]
+    rows = []
     spearman = {}
     for side in ("users", "items"):
         prof = sparsity_profile(mask, ds, side=side, num_groups=args.groups)
-        for gid in range(prof.num_groups):
-            lines.append(
-                f"{gid},{side},{_fmt(prof.mean_popularity[gid])},{_fmt(prof.mean_sparsity[gid])}"
-            )
+        rows.extend(
+            {"group_id": gid, "side": side, "mean_popularity": pop, "mean_sparsity": sp}
+            for gid, (pop, sp) in enumerate(zip(prof.mean_popularity, prof.mean_sparsity))
+        )
         spearman[side] = popularity_sparsity_correlation(prof)
     out_path = Path(args.out) if args.out else run_dir / "profile.csv"
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(out_path, PROFILE_COLUMNS, rows)
     summary_path = out_path.with_name(out_path.stem + "_summary.json")
     summary_path.write_text(
         json.dumps({"num_groups": args.groups, "spearman": spearman}, indent=2, sort_keys=True)
@@ -382,9 +350,7 @@ def cmd_report(args) -> int:
     if not sweep_csv.exists():
         print(f"error: {sweep_csv} not found", file=sys.stderr)
         return 2
-    lines = sweep_csv.read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    header, rows = _read_csv(sweep_csv)
     if "recall_mean" in header:
         print(f"{'method':<8} {'sparsity':>8} {'recall':>20} {'ndcg':>20} {'macs_infer':>12}")
         for r in rows:
@@ -395,8 +361,7 @@ def cmd_report(args) -> int:
                 f"{float(r['macs_infer']):>12.4g}"
             )
     else:
-        for line in lines:
-            print(line)
+        print(sweep_csv.read_text(encoding="utf-8").strip())
     return 0
 
 

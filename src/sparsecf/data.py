@@ -38,7 +38,6 @@ class InteractionDataset:
     num_items: int
     train_edges: np.ndarray
     test_edges: np.ndarray
-    user_pos_sets: list = field(repr=False)
     # sorted u*num_items+i keys of the train edges, for O(log n) membership
     _train_keys: np.ndarray = field(repr=False)
 
@@ -57,11 +56,6 @@ class InteractionDataset:
         if side == "items":
             return np.bincount(self.train_edges[:, 1], minlength=self.num_items)
         raise ValueError(f"side must be 'users' or 'items', got {side!r}")
-
-    def has_train_edge(self, u: int, i: int) -> bool:
-        key = np.int64(u) * self.num_items + i
-        pos = np.searchsorted(self._train_keys, key)
-        return pos < len(self._train_keys) and self._train_keys[pos] == key
 
 
 @dataclass
@@ -118,39 +112,27 @@ def make_dataset(num_users, num_items, train_edges, test_edges=()) -> Interactio
         raise ValueError("duplicate (user, item) pair in test split")
     if np.intersect1d(train_keys, test_keys).size:
         raise ValueError("train and test splits overlap")
-    pos_sets = [set() for _ in range(num_users)]
-    for u, i in train:
-        pos_sets[u].add(int(i))
     return InteractionDataset(
         num_users=int(num_users),
         num_items=int(num_items),
         train_edges=train,
         test_edges=test,
-        user_pos_sets=pos_sets,
         _train_keys=np.sort(train_keys),
     )
 
 
-def _parse_index(token: str, line_no: int, what: str) -> int:
+def _parse_index(token: str, where: str, what: str) -> int:
     try:
         value = int(token)
     except ValueError:
-        raise DataFormatError(f"line {line_no}: cannot parse {what} index {token!r}") from None
+        raise DataFormatError(f"{where}: cannot parse {what} index {token!r}") from None
     if value < 0:
-        raise DataFormatError(f"line {line_no}: negative {what} index {value}")
+        raise DataFormatError(f"{where}: negative {what} index {value}")
     return value
 
 
-def load_interactions(path, format: str = "pair-lines") -> InteractionDataset:
-    """Read an interaction file into a dataset with all edges in train.
-
-    ``pair-lines`` holds one "user item" pair per line (space, tab or
-    comma separated); ``per-user-adjacency`` holds "user item1 item2 ..."
-    lines. Lines starting with '#' are ignored, except an optional
-    "# users=N items=M" header that declares the index spaces. Without a
-    header, sizes are max index + 1 per side. Duplicate pairs are dropped
-    with a warning.
-    """
+def _parse_edges(path, format: str) -> tuple[np.ndarray, tuple | None]:
+    """(n, 2) edges of an interaction file, and the sizes its header declares."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
     text = Path(path).read_text(encoding="utf-8")
@@ -165,31 +147,48 @@ def load_interactions(path, format: str = "pair-lines") -> InteractionDataset:
             if m:
                 declared = (int(m.group(1)), int(m.group(2)))
             continue
+        where = f"{path}: line {line_no}"
         tokens = re.split(r"[,\s]+", line)
         if format == "pair-lines":
             if len(tokens) != 2:
-                raise DataFormatError(
-                    f"line {line_no}: expected 'user item', got {len(tokens)} fields"
-                )
-            u = _parse_index(tokens[0], line_no, "user")
-            i = _parse_index(tokens[1], line_no, "item")
+                raise DataFormatError(f"{where}: expected 'user item', got {len(tokens)} fields")
+            u = _parse_index(tokens[0], where, "user")
+            i = _parse_index(tokens[1], where, "item")
             edges.append((u, i))
         else:
-            u = _parse_index(tokens[0], line_no, "user")
+            u = _parse_index(tokens[0], where, "user")
             for tok in tokens[1:]:
-                edges.append((u, _parse_index(tok, line_no, "item")))
-    if not edges:
+                edges.append((u, _parse_index(tok, where, "item")))
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2), declared
+
+
+def load_interactions(path, format: str = "pair-lines") -> InteractionDataset:
+    """Read an interaction file into a dataset with all edges in train.
+
+    ``pair-lines`` holds one "user item" pair per line (space, tab or
+    comma separated); ``per-user-adjacency`` holds "user item1 item2 ..."
+    lines. Lines starting with '#' are ignored, except an optional
+    "# users=N items=M" header that declares the index spaces. Without a
+    header, sizes are max index + 1 per side. Duplicate pairs are dropped
+    with a warning.
+    """
+    arr, declared = _parse_edges(path, format)
+    if not len(arr):
         raise DataFormatError(f"{path}: no interactions found")
-    arr = np.asarray(edges, dtype=np.int64)
+    return _edges_to_dataset(path, arr, declared)
+
+
+def _edges_to_dataset(path, arr: np.ndarray, declared) -> InteractionDataset:
+    """Check edges against declared sizes, drop duplicates, build a dataset."""
     if declared is not None:
         num_users, num_items = declared
         if arr[:, 0].max() >= num_users:
             raise DataFormatError(
-                f"user index {arr[:, 0].max()} outside declared range [0, {num_users})"
+                f"{path}: user index {arr[:, 0].max()} outside declared range [0, {num_users})"
             )
         if arr[:, 1].max() >= num_items:
             raise DataFormatError(
-                f"item index {arr[:, 1].max()} outside declared range [0, {num_items})"
+                f"{path}: item index {arr[:, 1].max()} outside declared range [0, {num_items})"
             )
     else:
         num_users = int(arr[:, 0].max()) + 1
@@ -199,7 +198,7 @@ def load_interactions(path, format: str = "pair-lines") -> InteractionDataset:
     if len(first_idx) != len(arr):
         warnings.warn(
             f"{path}: dropped {len(arr) - len(first_idx)} duplicate interaction(s)",
-            stacklevel=2,
+            stacklevel=3,
         )
         arr = arr[np.sort(first_idx)]
     return make_dataset(num_users, num_items, arr)
@@ -269,11 +268,17 @@ def sample_batch(ds: InteractionDataset, batch_size: int, rng: np.random.Generat
         still_bad = ds._train_keys[pos_at] == keys
         unresolved = unresolved[still_bad]
     for b in unresolved:
-        u = int(users[b])
-        pos_set = ds.user_pos_sets[u]
-        if len(pos_set) >= ds.num_items:
-            raise NoValidNegativeError(f"user {u} has interacted with all {ds.num_items} items")
-        neg[b] = next(j for j in range(ds.num_items) if j not in pos_set)
+        # the lowest item the user has not interacted with: the first gap in
+        # the user's sorted slice of the train keys
+        base = users[b] * np.int64(ds.num_items)
+        lo, hi = np.searchsorted(ds._train_keys, [base, base + ds.num_items])
+        items = ds._train_keys[lo:hi] - base
+        if len(items) >= ds.num_items:
+            raise NoValidNegativeError(
+                f"user {users[b]} has interacted with all {ds.num_items} items"
+            )
+        gaps = np.flatnonzero(items != np.arange(len(items)))
+        neg[b] = gaps[0] if gaps.size else len(items)
     return TrainBatch(np.stack([users, pos, neg], axis=1))
 
 
@@ -304,14 +309,12 @@ def load_dataset(data_dir) -> InteractionDataset:
     data_dir = Path(data_dir)
     train = load_interactions(data_dir / "train.txt")
     test_path = data_dir / "test.txt"
-    test_edges: np.ndarray
+    test_edges = np.empty((0, 2), dtype=np.int64)
     if test_path.exists():
-        try:
-            test_edges = load_interactions(test_path).train_edges
-        except DataFormatError:
-            test_edges = np.empty((0, 2), dtype=np.int64)
-    else:
-        test_edges = np.empty((0, 2), dtype=np.int64)
+        # a test.txt without interaction lines (an empty split) is allowed
+        arr, declared = _parse_edges(test_path, "pair-lines")
+        if len(arr):
+            test_edges = _edges_to_dataset(test_path, arr, declared).train_edges
     num_users = train.num_users
     num_items = train.num_items
     if test_edges.size:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-CHECKPOINT_FORMAT = "sparse-embedding-v1"
+CHECKPOINT_FORMAT = "sparse-embedding-v2"
 
 
 @dataclass
@@ -181,46 +181,54 @@ def masked_step(
 
 
 def save_checkpoint(path, table: EmbeddingTable, mask: SparseMask) -> None:
-    """Write active entries as (row, col, value) triples in row-major order.
+    """Write a table and its mask in the sparse-embedding-v2 layout.
 
-    Values are serialized with repr so floats round-trip exactly and the
-    byte stream is deterministic for identical inputs.
+    One JSON header line, then the mask as a packed bitset (np.packbits,
+    row-major), then the active values as little-endian float64 in
+    row-major order. The file is memory_bytes(active, total) plus the
+    header line, and identical inputs give identical bytes.
     """
-    rows, cols = np.nonzero(mask.bits)
-    values = table.weights[rows, cols]
     sparsity = mask.target_sparsity
     if sparsity is None:
-        sparsity = 1.0 - len(rows) / table.total_entries
-    lines = [
-        "{",
-        f'  "format": "{CHECKPOINT_FORMAT}",',
-        f'  "num_users": {table.num_users},',
-        f'  "num_items": {table.num_items},',
-        f'  "dim": {table.dim},',
-        f'  "sparsity": {float(sparsity)!r},',
-        '  "active": [',
-    ]
-    body = ",\n".join(
-        f"    [{r}, {c}, {v!r}]" for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist())
-    )
-    lines.append(body)
-    lines.append("  ]")
-    lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        sparsity = 1.0 - mask.active_count / table.total_entries
+    header = {
+        "format": CHECKPOINT_FORMAT,
+        "num_users": table.num_users,
+        "num_items": table.num_items,
+        "dim": table.dim,
+        "sparsity": float(sparsity),
+    }
+    with Path(path).open("wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        fh.write(np.packbits(mask.bits, axis=None).tobytes())
+        fh.write(table.weights[mask.bits].astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[EmbeddingTable, SparseMask]:
     """Read a checkpoint back into a table and mask."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format {payload.get('format')!r}")
-    num_users = payload["num_users"]
-    num_items = payload["num_items"]
-    dim = payload["dim"]
-    weights = np.zeros((num_users + num_items, dim))
-    bits = np.zeros_like(weights, dtype=bool)
-    for r, c, v in payload["active"]:
-        weights[r, c] = v
-        bits[r, c] = True
-    mask = SparseMask(bits, target_sparsity=payload.get("sparsity"))
+    head, _, body = Path(path).read_bytes().partition(b"\n")
+    try:
+        header = json.loads(head)
+    except ValueError:
+        header = None
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: unrecognized checkpoint format {fmt!r}")
+    num_users, num_items, dim = header["num_users"], header["num_items"], header["dim"]
+    shape = (num_users + num_items, dim)
+    total = shape[0] * shape[1]
+    mask_bytes = -(-total // 8)
+    if len(body) < mask_bytes:
+        raise ValueError(f"{path}: checkpoint body is {len(body)} bytes, shorter than its mask")
+    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8, count=mask_bytes), count=total)
+    active = int(np.count_nonzero(bits))
+    if len(body) != mask_bytes + 8 * active:
+        raise ValueError(
+            f"{path}: checkpoint body is {len(body)} bytes, expected "
+            f"{mask_bytes + 8 * active} for {active} active of {total} entries"
+        )
+    bits = bits.view(bool).reshape(shape)
+    weights = np.zeros(shape)
+    weights[bits] = np.frombuffer(body, dtype="<f8", offset=mask_bytes)
+    mask = SparseMask(bits, target_sparsity=header["sparsity"])
     return EmbeddingTable(num_users, num_items, dim, weights), mask

@@ -19,7 +19,6 @@ from .embeddings import (
     EmbeddingTable,
     OptimizerState,
     SparseMask,
-    init_mask,
     target_active_count,
 )
 
@@ -180,11 +179,6 @@ def exploration_step(
         grown_positions=grown,
         sparsity_after=mask.sparsity,
     )
-
-
-def random_prune_once(table: EmbeddingTable, sparsity: float, rng: np.random.Generator) -> SparseMask:
-    """Static baseline: prune uniformly at random once, then never again."""
-    return init_mask(table.weights.shape, sparsity, rng)
 
 
 def one_shot_magnitude_prune(table: EmbeddingTable, sparsity: float) -> SparseMask:

@@ -1,15 +1,19 @@
 """Training orchestration: sparse learning steps, mask exploration, logging.
 
-One run executes exactly t_end mini-batch iterations. Under the dynamic
-method, iterations that land on the exploration interval update the mask
-instead of the weights; all other iterations sample a batch, take the
-ranking gradient and apply a masked optimizer step. Everything a run
-writes (metrics.csv, exploration.jsonl, checkpoint.final, config.json,
-split_manifest.json) is byte-deterministic given the config and seed.
+Every method is a short list of phases run by _run_phase: dense, rp and
+dsl run one phase of exactly t_end iterations; omp runs a dense phase (or
+loads a dense table), prunes it once by magnitude and fine-tunes. Under
+the dynamic method, iterations that land on the exploration interval
+update the mask instead of the weights; all other iterations sample a
+batch, take the ranking gradient and apply a masked optimizer step.
+Everything a run writes (metrics.csv, exploration.jsonl, checkpoints,
+config.json, split_manifest.json, complete.json) is byte-deterministic
+given the config and seed.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
@@ -32,7 +36,7 @@ from .embeddings import (
     zero_inactive,
 )
 from .evaluation import evaluate_combined
-from .models import BackboneConfig, bpr_loss_and_grad, build_adjacency, combined_embeddings
+from .models import BackboneConfig, bpr_loss_and_grad, combined_embeddings
 from .sparsifier import (
     ExplorationSchedule,
     exploration_step,
@@ -131,8 +135,13 @@ class RunConfig:
         if self.run_id is not None:
             return self.run_id
         payload = {k: v for k, v in asdict(self).items() if k != "run_id"}
-        digest = hashlib.sha1(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:8]
+        digest = config_digest(payload)[:8]
         return f"{self.method}-s{self.effective_sparsity:g}-seed{self.seed}-{digest}"
+
+
+def config_digest(config: dict) -> str:
+    """sha1 of a config dict in canonical (sorted-key) JSON."""
+    return hashlib.sha1(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass
@@ -155,26 +164,35 @@ class RunArtifacts:
         return self.metrics[-1] if self.metrics else {}
 
 
-def _format_metric(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_csv(path, columns, rows) -> None:
+    """Write dict rows under a header of columns; extra keys are ignored.
+
+    The csv module writes floats with repr, so they read back exactly.
+    """
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, columns, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
-def write_metrics_csv(path, rows) -> None:
-    lines = [",".join(METRICS_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_metric(row[c]) for c in METRICS_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _completion_text(config: dict) -> str:
+    """complete.json of a finished run of this resolved config."""
+    return _json_text({"config_sha1": config_digest(config)})
 
 
 def _write_run_dir(out_dir, art: RunArtifacts, ds: InteractionDataset, cfg: RunConfig) -> None:
+    """Write the run directory. complete.json, holding the digest of the
+    resolved config, is written last and only for a finished run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(art.config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    write_metrics_csv(out / "metrics.csv", art.metrics)
+    marker = out / "complete.json"
+    marker.unlink(missing_ok=True)
+    (out / "config.json").write_text(_json_text(art.config), encoding="utf-8")
+    write_csv(out / "metrics.csv", METRICS_COLUMNS, art.metrics)
     with (out / "exploration.jsonl").open("w", encoding="utf-8") as fh:
         for ev in art.events:
             fh.write(json.dumps(ev.log_entry(cfg.log_positions), sort_keys=True) + "\n")
@@ -186,10 +204,49 @@ def _write_run_dir(out_dir, art: RunArtifacts, ds: InteractionDataset, cfg: RunC
         "test_edges": ds.num_test,
         "data_dir": cfg.data_dir,
     }
-    (out / "split_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out / "split_manifest.json").write_text(_json_text(manifest), encoding="utf-8")
+    if not art.aborted:
+        marker.write_text(_completion_text(art.config), encoding="utf-8")
     art.run_dir = out
+
+
+def is_complete(run_dir, cfg: RunConfig) -> bool:
+    """Whether run_dir holds a finished run of exactly this config."""
+    marker = Path(run_dir) / "complete.json"
+    expected = _completion_text(cfg.resolved())
+    return marker.exists() and marker.read_text(encoding="utf-8") == expected
+
+
+def _dense_mask(table: EmbeddingTable) -> SparseMask:
+    return SparseMask(np.ones_like(table.weights, dtype=bool), target_sparsity=0.0)
+
+
+def _load_dense_table(cfg: RunConfig, ds: InteractionDataset) -> EmbeddingTable:
+    path = cfg.dense_checkpoint
+    table, mask = load_checkpoint(path)
+    if (table.num_users, table.num_items, table.dim) != (ds.num_users, ds.num_items, cfg.dim):
+        raise ValueError(f"dense checkpoint {path} shape does not match dataset/config")
+    if not mask.bits.all():
+        raise ValueError(
+            f"dense checkpoint {path} has {mask.total - mask.active_count} inactive entries"
+        )
+    return table
+
+
+def _phases(cfg: RunConfig, resolved: dict) -> list:
+    """(t_start, iterations, starting mask, explore) of each phase of a run.
+
+    The starting mask is "dense", "random" (init_mask) or "magnitude" (a
+    one-shot prune of the table the phase starts from). omp with a
+    dense_checkpoint skips its dense phase.
+    """
+    if cfg.method != "omp":
+        start = "dense" if cfg.method == "dense" else "random"
+        return [(0, cfg.t_end, start, cfg.method == "dsl")]
+    fine_tune = (cfg.t_end, resolved["fine_tune_iters"], "magnitude", False)
+    if cfg.dense_checkpoint is not None:
+        return [fine_tune]
+    return [(0, cfg.t_end, "dense", False), fine_tune]
 
 
 class _RunState:
@@ -198,10 +255,8 @@ class _RunState:
     def __init__(self, cfg: RunConfig, ds: InteractionDataset):
         self.cfg = cfg
         self.ds = ds
-        adj = None
-        if cfg.backbone == "lightgcn" and cfg.num_layers > 0:
-            adj = build_adjacency(ds)
-        self.bb = BackboneConfig(cfg.backbone, cfg.num_layers, cfg.l2_reg, adj)
+        self.bb = BackboneConfig.for_dataset(cfg.backbone, cfg.num_layers, ds, cfg.l2_reg)
+        adj = self.bb.adjacency
         self.nnz_adj = int(adj.nnz) if adj is not None else 0
         self.fwd = macs_forward_batch(
             cfg.backbone, cfg.dim, cfg.batch_size, cfg.num_layers, self.nnz_adj
@@ -212,6 +267,17 @@ class _RunState:
         self.mask_rng = np.random.default_rng(mask_ss)
         self.batch_rng = np.random.default_rng(batch_ss)
         self.macs_cum = 0.0
+
+    def start_mask(self, kind: str, table: EmbeddingTable) -> SparseMask:
+        """The mask a phase starts from (see _phases); zeroes the table outside it."""
+        if kind == "dense":
+            return _dense_mask(table)
+        if kind == "random":
+            mask = init_mask(table.weights.shape, self.cfg.sparsity, self.mask_rng)
+        else:
+            mask = one_shot_magnitude_prune(table, self.cfg.sparsity)
+        zero_inactive(table, mask)
+        return mask
 
     def grad_on_fresh_batch(self, table: EmbeddingTable, mask: SparseMask):
         batch = sample_batch(self.ds, self.cfg.batch_size, self.batch_rng)
@@ -245,17 +311,17 @@ class _RunState:
 def _run_phase(
     state: _RunState,
     art: RunArtifacts,
-    table: EmbeddingTable,
-    mask: SparseMask,
-    opt: OptimizerState,
     t_start: int,
     iterations: int,
     explore: bool,
-    eval_every: int,
     snapshot_hook=None,
 ) -> None:
-    """Run iterations t_start+1 .. t_start+iterations, appending to art."""
+    """Run iterations t_start+1 .. t_start+iterations on art.table under
+    art.mask, from a fresh optimizer state, appending to art."""
     cfg = state.cfg
+    table, mask = art.table, art.mask
+    opt = OptimizerState(cfg.optimizer, cfg.lr)
+    eval_every = art.config["eval_every"]
     sched = cfg.schedule() if explore else None
     t_final = t_start + iterations
     for t in range(t_start + 1, t_final + 1):
@@ -290,140 +356,40 @@ def train(
 ) -> RunArtifacts:
     """Run one training job end to end and return its artifacts.
 
-    Writes the run directory when out_dir is given. The omp method is
-    handled by run_omp_pipeline; all other methods run a single phase of
-    exactly t_end iterations. Deterministic given cfg and seed.
+    Runs the phases of cfg.method in turn; metric rows and costs
+    accumulate across them. omp loads cfg.dense_checkpoint instead of
+    training its dense phase when one is given, and charges it at t_end
+    dense iterations. Writes the run directory when out_dir is given,
+    also when the run aborts. Deterministic given cfg and seed.
     """
-    if cfg.method == "omp":
-        return run_omp_pipeline(cfg, ds, out_dir=out_dir, snapshot_hook=snapshot_hook)
-    state = _RunState(cfg, ds)
-    table = init_table(ds.num_users, ds.num_items, cfg.dim, state.table_rng, cfg.init_scale)
-    if cfg.method == "dense":
-        mask = SparseMask(np.ones_like(table.weights, dtype=bool), target_sparsity=0.0)
-    else:
-        mask = init_mask(table.weights.shape, cfg.sparsity, state.mask_rng)
-        zero_inactive(table, mask)
-    opt = OptimizerState(cfg.optimizer, cfg.lr)
-    resolved = cfg.resolved()
-    art = RunArtifacts(run_id=resolved["run_id"], config=resolved, table=table, mask=mask)
-    eval_every = resolved["eval_every"]
-    try:
-        _run_phase(
-            state,
-            art,
-            table,
-            mask,
-            opt,
-            t_start=0,
-            iterations=cfg.t_end,
-            explore=cfg.method == "dsl",
-            eval_every=eval_every,
-            snapshot_hook=snapshot_hook,
-        )
-    except TrainingAborted:
-        if out_dir is not None:
-            _write_run_dir(out_dir, art, ds, cfg)
-        raise
-    art.cost = CostReport(
-        macs_train=state.macs_cum,
-        macs_infer=art.metrics[-1]["macs_infer"],
-        memory_bytes=memory_bytes(mask.active_count, mask.total, cfg.bytes_per_weight),
-    )
-    if out_dir is not None:
-        _write_run_dir(out_dir, art, ds, cfg)
-    return art
-
-
-def run_omp_pipeline(
-    cfg: RunConfig,
-    ds: InteractionDataset,
-    out_dir=None,
-    snapshot_hook=None,
-) -> RunArtifacts:
-    """Dense training, one-shot magnitude prune, then sparse fine-tuning.
-
-    The dense phase runs t_end iterations here unless cfg.dense_checkpoint
-    points at a saved dense table, in which case that table is loaded and
-    the dense phase is charged analytically at t_end dense iterations.
-    Costs and metric rows accumulate across both phases; fine-tune rows
-    continue the iteration count past t_end.
-    """
-    if cfg.method != "omp":
-        raise ValueError(f"run_omp_pipeline requires method='omp', got {cfg.method!r}")
     state = _RunState(cfg, ds)
     resolved = cfg.resolved()
-    fine_tune_iters = resolved["fine_tune_iters"]
-    eval_every = resolved["eval_every"]
-
-    if cfg.dense_checkpoint is not None:
-        table, loaded_mask = load_checkpoint(cfg.dense_checkpoint)
-        if (table.num_users, table.num_items, table.dim) != (ds.num_users, ds.num_items, cfg.dim):
-            raise ValueError("dense checkpoint shape does not match dataset/config")
-        art = RunArtifacts(
-            run_id=resolved["run_id"],
-            config=resolved,
-            table=table,
-            mask=loaded_mask,
-        )
-        # charge the reused dense run at its nominal cost
+    if cfg.method == "omp" and cfg.dense_checkpoint is not None:
+        table = _load_dense_table(cfg, ds)
         state.macs_cum += macs_training(state.fwd, cfg.t_end, 0.0)
     else:
         table = init_table(ds.num_users, ds.num_items, cfg.dim, state.table_rng, cfg.init_scale)
-        dense_mask = SparseMask(np.ones_like(table.weights, dtype=bool), target_sparsity=0.0)
-        opt = OptimizerState(cfg.optimizer, cfg.lr)
-        art = RunArtifacts(run_id=resolved["run_id"], config=resolved, table=table, mask=dense_mask)
-        try:
-            _run_phase(
-                state,
-                art,
-                table,
-                dense_mask,
-                opt,
-                t_start=0,
-                iterations=cfg.t_end,
-                explore=False,
-                eval_every=eval_every,
-                snapshot_hook=snapshot_hook,
-            )
-        except TrainingAborted:
-            if out_dir is not None:
-                _write_run_dir(out_dir, art, ds, cfg)
-            raise
-
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        save_checkpoint(
-            Path(out_dir) / "checkpoint.dense",
-            art.table,
-            SparseMask(np.ones_like(art.table.weights, dtype=bool), target_sparsity=0.0),
-        )
-
-    mask = one_shot_magnitude_prune(art.table, cfg.sparsity)
-    zero_inactive(art.table, mask)
-    art.mask = mask
-    opt = OptimizerState(cfg.optimizer, cfg.lr)
+    art = RunArtifacts(resolved["run_id"], resolved, table, _dense_mask(table))
+    abort = None
     try:
-        _run_phase(
-            state,
-            art,
-            art.table,
-            mask,
-            opt,
-            t_start=cfg.t_end,
-            iterations=fine_tune_iters,
-            explore=False,
-            eval_every=eval_every,
-            snapshot_hook=snapshot_hook,
+        for t_start, iterations, start, explore in _phases(cfg, resolved):
+            if start == "magnitude" and out_dir is not None:
+                # omp keeps the dense table it prunes
+                Path(out_dir).mkdir(parents=True, exist_ok=True)
+                save_checkpoint(Path(out_dir) / "checkpoint.dense", table, _dense_mask(table))
+            art.mask = state.start_mask(start, table)
+            _run_phase(state, art, t_start, iterations, explore, snapshot_hook)
+    except TrainingAborted as exc:
+        abort = exc
+    else:
+        art.cost = CostReport(
+            macs_train=state.macs_cum,
+            macs_infer=art.metrics[-1]["macs_infer"],
+            memory_bytes=memory_bytes(art.mask.active_count, art.mask.total,
+                                      cfg.bytes_per_weight),
         )
-    except TrainingAborted:
-        if out_dir is not None:
-            _write_run_dir(out_dir, art, ds, cfg)
-        raise
-    art.cost = CostReport(
-        macs_train=state.macs_cum,
-        macs_infer=art.metrics[-1]["macs_infer"],
-        memory_bytes=memory_bytes(mask.active_count, mask.total, cfg.bytes_per_weight),
-    )
     if out_dir is not None:
         _write_run_dir(out_dir, art, ds, cfg)
+    if abort is not None:
+        raise abort
     return art

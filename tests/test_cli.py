@@ -187,6 +187,36 @@ def test_sweep_resume_skips_finished_cells(data_dir, tmp_path, capsys):
     assert (out / "sweep.csv").read_text() == first
 
 
+def test_sweep_resume_retrains_an_aborted_cell(data_dir, tmp_path, capsys):
+    spec = sweep_spec(tmp_path, data_dir, methods=["rp"], seeds=[0])
+    payload = json.loads(spec.read_text())
+    fixed = dict(payload["base"])
+    payload["base"].update(optimizer="sgd", lr=1e300)
+    spec.write_text(json.dumps(payload))
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(spec), "--out", str(out)]) == 1
+    payload["base"] = fixed
+    spec.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["sweep", str(spec), "--out", str(out), "--resume"]) == 0
+    printed = capsys.readouterr().out
+    assert ": ok" in printed and "(resumed)" not in printed
+
+
+def test_sweep_resume_retrains_a_changed_config(data_dir, tmp_path, capsys):
+    spec = sweep_spec(tmp_path, data_dir, methods=["rp"], seeds=[0])
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(spec), "--out", str(out)]) == 0
+    payload = json.loads(spec.read_text())
+    payload["base"]["t_end"] = 90
+    spec.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["sweep", str(spec), "--out", str(out), "--resume"]) == 0
+    assert "(resumed)" not in capsys.readouterr().out
+    config = json.loads((out / "runs" / "rp-s0.5-seed0" / "config.json").read_text())
+    assert config["t_end"] == 90
+
+
 def test_sweep_parallel_workers_match_serial(data_dir, tmp_path):
     spec = sweep_spec(tmp_path, data_dir, methods=["rp", "dsl"], seeds=[0])
     assert main(["sweep", str(spec), "--out", str(tmp_path / "serial")]) == 0

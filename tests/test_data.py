@@ -15,6 +15,7 @@ from sparsecf import (
     save_dataset,
     split_holdout,
 )
+from sparsecf import data
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -195,3 +196,27 @@ def test_save_is_deterministic(tmp_path, tiny_ds):
     save_dataset(tiny_ds, tmp_path / "b")
     for name in ("train.txt", "test.txt", "split_manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_sample_batch_fallback_takes_lowest_free_item(monkeypatch):
+    monkeypatch.setattr(data, "_MAX_REJECTION_ROUNDS", 0)
+    ds = make_dataset(3, 5, [(0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
+    batch = sample_batch(ds, 64, np.random.default_rng(0))
+    lowest_free = {0: 2, 1: 0, 2: 3}
+    assert all(neg == lowest_free[u] for u, neg in zip(batch.users, batch.neg_items))
+
+
+def test_load_dataset_keeps_an_empty_test_split(tmp_path):
+    ds = make_dataset(2, 3, [(0, 0), (1, 2)])
+    save_dataset(ds, tmp_path / "d")
+    assert load_dataset(tmp_path / "d").num_test == 0
+
+
+def test_load_dataset_rejects_malformed_test_split(tmp_path, tiny_ds):
+    save_dataset(tiny_ds, tmp_path / "d")
+    test_txt = tmp_path / "d" / "test.txt"
+    header = test_txt.read_text().splitlines()[0]
+    test_txt.write_text(f"{header}\n5 notanitem\n")
+    with pytest.raises(DataFormatError, match="line 2") as exc_info:
+        load_dataset(tmp_path / "d")
+    assert "test.txt" in str(exc_info.value)

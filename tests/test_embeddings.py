@@ -12,6 +12,7 @@ from sparsecf import (
     init_table,
     load_checkpoint,
     masked_step,
+    memory_bytes,
     save_checkpoint,
     target_active_count,
 )
@@ -187,3 +188,30 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     (tmp_path / "bad").write_text('{"format": "other", "active": []}')
     with pytest.raises(ValueError, match="format"):
         load_checkpoint(tmp_path / "bad")
+
+
+def test_checkpoint_size_is_modelled_memory_plus_header(tmp_path, rng):
+    t = table_of(rng.normal(size=(9, 7)), num_users=4)
+    mask = init_mask((9, 7), 0.6, rng)
+    t.weights[~mask.bits] = 0.0
+    path = tmp_path / "ckpt"
+    save_checkpoint(path, t, mask)
+    data = path.read_bytes()
+    header = data.split(b"\n", 1)[0] + b"\n"
+    assert len(data) == memory_bytes(mask.active_count, mask.total) + len(header)
+
+
+def test_checkpoint_rejects_truncated_file(tmp_path, rng):
+    t = table_of(rng.normal(size=(6, 4)))
+    mask = init_mask((6, 4), 0.5, rng)
+    path = tmp_path / "ckpt"
+    save_checkpoint(path, t, mask)
+    data = path.read_bytes()
+    header_len = data.index(b"\n") + 1
+    for cut in (1, 8, len(data) - header_len):
+        path.write_bytes(data[:-cut])
+        with pytest.raises(ValueError, match="bytes"):
+            load_checkpoint(path)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(ValueError, match="bytes"):
+        load_checkpoint(path)

@@ -13,7 +13,6 @@ from sparsecf import (
     exploration_step,
     init_mask,
     one_shot_magnitude_prune,
-    random_prune_once,
     select_grow,
     select_prune,
     update_ratio,
@@ -273,13 +272,3 @@ def test_event_log_entry_counts_and_positions():
     verbose = ev.log_entry(verbose=True)
     assert verbose["pruned"] == [1, 5]
     assert verbose["grown"] == [2, 7]
-
-
-def test_random_prune_once_counts_and_determinism(rng):
-    t = EmbeddingTable(10, 10, 40, rng.normal(size=(20, 40)))
-    a = random_prune_once(t, 0.5, np.random.default_rng(3))
-    b = random_prune_once(t, 0.5, np.random.default_rng(3))
-    assert a.active_count == 400
-    assert np.array_equal(a.bits, b.bits)
-    c = random_prune_once(t, 0.5, np.random.default_rng(4))
-    assert not np.array_equal(a.bits, c.bits)

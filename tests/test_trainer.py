@@ -17,11 +17,10 @@ from sparsecf import (
     masked_step,
     memory_bytes,
     one_shot_magnitude_prune,
-    run_omp_pipeline,
     sample_batch,
     train,
 )
-from sparsecf.trainer import METRICS_COLUMNS, write_metrics_csv
+from sparsecf.trainer import METRICS_COLUMNS, config_digest, write_csv
 
 
 def quick_cfg(**overrides):
@@ -84,7 +83,7 @@ def test_dense_ignores_sparsity_field():
 def test_write_metrics_csv_uses_repr(tmp_path):
     row = {c: 0 for c in METRICS_COLUMNS}
     row.update(run_id="r", recall=0.1, ndcg=1.0 / 3.0, hr=1.0, sparsity=0.5)
-    write_metrics_csv(tmp_path / "m.csv", [row])
+    write_csv(tmp_path / "m.csv", METRICS_COLUMNS, [row])
     lines = (tmp_path / "m.csv").read_text().splitlines()
     assert lines[0] == ",".join(METRICS_COLUMNS)
     fields = dict(zip(METRICS_COLUMNS, lines[1].split(",")))
@@ -245,6 +244,12 @@ def test_run_dir_contents(tmp_path, small_split):
     assert np.array_equal(mask.bits, art.mask.bits)
 
 
+def test_complete_marker_holds_config_digest(tmp_path, small_split):
+    art = train(quick_cfg(run_id="done"), small_split, out_dir=tmp_path / "run")
+    marker = json.loads((tmp_path / "run" / "complete.json").read_text())
+    assert marker == {"config_sha1": config_digest(art.config)}
+
+
 def test_event_counts_logged_by_default(tmp_path, small_split):
     cfg = quick_cfg(run_id="counts")
     art = train(cfg, small_split, out_dir=tmp_path / "run")
@@ -319,9 +324,13 @@ def test_omp_rejects_mismatched_checkpoint(tmp_path, small_split):
         train(bad, small_split)
 
 
-def test_omp_entry_point_rejects_other_methods(small_split):
-    with pytest.raises(ValueError, match="omp"):
-        run_omp_pipeline(quick_cfg(method="rp"), small_split)
+def test_omp_rejects_sparse_dense_checkpoint(tmp_path, small_split):
+    train(quick_cfg(method="rp", t_end=10), small_split, out_dir=tmp_path / "rp")
+    path = str(tmp_path / "rp" / "checkpoint.final")
+    cfg = quick_cfg(method="omp", t_end=10, fine_tune_iters=5, dense_checkpoint=path)
+    with pytest.raises(ValueError, match="inactive") as exc_info:
+        train(cfg, small_split)
+    assert path in str(exc_info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +349,7 @@ def test_diverging_run_aborts_and_keeps_artifacts(tmp_path, small_split):
     assert "non-finite" in str(err)
     out = tmp_path / "run"
     assert (out / "checkpoint.final").exists()
+    assert not (out / "complete.json").exists()
     lines = (out / "metrics.csv").read_text().splitlines()
     assert lines[0] == ",".join(METRICS_COLUMNS)
     # rows logged before the abort are retained
