@@ -66,7 +66,7 @@ class SparseMask:
 
     @property
     def active_count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     @property
     def total(self) -> int:
@@ -115,9 +115,9 @@ def zero_inactive(table: EmbeddingTable, mask: SparseMask) -> None:
 class OptimizerState:
     """SGD or Adam state over the full table.
 
-    Adam moment buffers live densely alongside the table; masked steps
-    keep moments of inactive entries at zero so regrown entries restart
-    from a cold optimizer state.
+    Adam moment buffers live densely alongside the table; moments of
+    inactive entries are held at zero so regrown entries restart from a
+    cold optimizer state.
     """
 
     kind: str
@@ -140,11 +140,11 @@ class OptimizerState:
             self.m = np.zeros(shape)
             self.v = np.zeros(shape)
 
-    def reset_positions(self, bits: np.ndarray) -> None:
-        """Clear Adam moments at the given positions (e.g. regrown entries)."""
+    def reset_positions(self, positions: np.ndarray) -> None:
+        """Clear Adam moments at flat positions (e.g. pruned or regrown entries)."""
         if self.kind == "adam" and self.m is not None:
-            self.m[bits] = 0.0
-            self.v[bits] = 0.0
+            self.m.reshape(-1)[positions] = 0.0
+            self.v.reshape(-1)[positions] = 0.0
 
 
 def masked_step(
@@ -156,28 +156,38 @@ def masked_step(
     """Apply one optimizer update to the active entries only.
 
     The gradient is dense over the table; contributions at inactive
-    positions are discarded and those entries remain exactly zero.
+    positions are discarded. Only active weights and moments are read or
+    written, so the work scales with the active count. Adam keeps dense
+    semantics over the active set: every active moment decays on every
+    step, also where the gradient is zero.
+
+    Precondition: inactive weights and Adam moments are exactly zero.
+    They are left untouched, so they stay zero; the trainer establishes
+    this when a phase starts and when exploration prunes or regrows.
     """
     if grad.shape != table.weights.shape:
         raise ValueError(f"grad shape {grad.shape} != table shape {table.weights.shape}")
     if not np.isfinite(grad).all():
         bad = tuple(int(i) for i in np.argwhere(~np.isfinite(grad))[0])
         raise FloatingPointError(f"non-finite gradient at position {bad}")
-    bits = mask.bits
+    # a dense mask updates everything in place, without gathering
+    idx = slice(None) if mask.active_count == mask.total else np.flatnonzero(mask.bits)
+    weights = table.weights.reshape(-1)
+    g = grad.reshape(-1)[idx]
+    opt.step += 1
     if opt.kind == "sgd":
-        table.weights -= opt.lr * (grad * bits)
-        table.weights[~bits] = 0.0
-        opt.step += 1
+        weights[idx] -= opt.lr * g
         return
     opt._ensure_buffers(table.weights.shape)
-    opt.step += 1
-    g = grad * bits
-    opt.m = (opt.beta1 * opt.m + (1.0 - opt.beta1) * g) * bits
-    opt.v = (opt.beta2 * opt.v + (1.0 - opt.beta2) * g * g) * bits
-    m_hat = opt.m / (1.0 - opt.beta1**opt.step)
-    v_hat = opt.v / (1.0 - opt.beta2**opt.step)
-    table.weights -= opt.lr * bits * m_hat / (np.sqrt(v_hat) + opt.eps)
-    table.weights[~bits] = 0.0
+    m_flat = opt.m.reshape(-1)
+    v_flat = opt.v.reshape(-1)
+    m = opt.beta1 * m_flat[idx] + (1.0 - opt.beta1) * g
+    v = opt.beta2 * v_flat[idx] + (1.0 - opt.beta2) * g * g
+    m_flat[idx] = m
+    v_flat[idx] = v
+    m_hat = m / (1.0 - opt.beta1**opt.step)
+    v_hat = v / (1.0 - opt.beta2**opt.step)
+    weights[idx] -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
 
 
 def save_checkpoint(path, table: EmbeddingTable, mask: SparseMask) -> None:

@@ -7,6 +7,14 @@ outputs, then scores by dot product. Gradients are computed analytically
 and densely over the whole table, which mask growth needs; the LightGCN
 backward pass is transposed propagation of the output gradient (the
 adjacency is symmetric), so no autodiff is involved.
+
+The per-triple gradient rows are scattered into the table with one
+sparse product: an incidence matrix with a 1 at (table row, triple slot)
+for the user, positive and negative row of every triple sums the rows
+that share a table row. MF scatters the ranking and L2 terms together;
+LightGCN propagates the scattered ranking term and then adds the
+scattered L2 term, which acts on the base rows only. The work is one
+pass over the 3 * batch rows plus the output table, with no sort.
 """
 
 from __future__ import annotations
@@ -128,14 +136,14 @@ def score_matrix(combined: np.ndarray, num_users: int, users: np.ndarray) -> np.
     return combined[np.asarray(users)] @ combined[num_users:].T
 
 
-def _scatter_add_rows(acc: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """acc[idx] += vals with repeated indices, via sort + reduceat."""
-    order = np.argsort(idx, kind="stable")
-    idx_sorted = idx[order]
-    vals_sorted = vals[order]
-    starts = np.flatnonzero(np.concatenate([[True], idx_sorted[1:] != idx_sorted[:-1]]))
-    sums = np.add.reduceat(vals_sorted, starts, axis=0)
-    acc[idx_sorted[starts]] += sums
+def _incidence(rows: np.ndarray, num_rows: int) -> sp.csr_matrix:
+    """(num_rows, len(rows)) matrix with a 1 at (rows[k], k).
+
+    inc @ vals sums the rows of vals into the table rows they belong to,
+    repeated indices included, in the order they appear in rows.
+    """
+    n = len(rows)
+    return sp.csr_matrix((np.ones(n), (rows, np.arange(n))), shape=(num_rows, n))
 
 
 def bpr_loss_and_grad(
@@ -188,23 +196,13 @@ def bpr_loss_and_grad(
     loss = float(per_triple.mean())
 
     coeff = (-expit(-x) / b)[:, None]
-    grad_combined = np.zeros_like(weights)
-    _scatter_add_rows(
-        grad_combined,
-        np.concatenate([users, pos, neg]),
-        np.concatenate([coeff * (e_i - e_j), coeff * e_u, -coeff * e_u]),
-    )
+    inc = _incidence(np.concatenate([users, pos, neg]), len(weights))
+    rank_vals = np.concatenate([coeff * (e_i - e_j), coeff * e_u, -coeff * e_u])
+    reg_vals = (2.0 * cfg.l2_reg / b) * np.concatenate([base_u, base_i, base_j])
     if cfg.propagates():
         # the adjacency is symmetric, so the adjoint of propagation is
         # propagation applied to the output gradient
-        grad = lightgcn_propagate(cfg, grad_combined)
-    else:
-        grad = grad_combined
-    if cfg.l2_reg > 0:
-        reg_coeff = 2.0 * cfg.l2_reg / b
-        _scatter_add_rows(
-            grad,
-            np.concatenate([users, pos, neg]),
-            reg_coeff * np.concatenate([base_u, base_i, base_j]),
-        )
-    return loss, grad
+        grad = lightgcn_propagate(cfg, inc @ rank_vals)
+        grad += inc @ reg_vals
+        return loss, grad
+    return loss, inc @ (rank_vals + reg_vals)

@@ -125,9 +125,10 @@ def select_grow(
     not eligible. Ties resolve toward the smaller row-major index. Result
     is ascending.
     """
-    inactive = np.flatnonzero(~mask.bits.ravel())
-    if exclude is not None and len(exclude):
-        inactive = np.setdiff1d(inactive, exclude, assume_unique=False)
+    eligible = ~mask.bits.ravel()
+    if exclude is not None:
+        eligible[exclude] = False
+    inactive = np.flatnonzero(eligible)
     if k > len(inactive):
         raise ValueError(f"cannot grow {k} entries, only {len(inactive)} eligible")
     if k == 0:
@@ -150,8 +151,9 @@ def exploration_step(
     Prunes first (weights zeroed, bits cleared), then asks grad_fn for
     one dense gradient on a fresh batch and grows at the largest-|grad|
     inactive positions outside the just-pruned set. Grown entries start
-    at zero with fresh optimizer moments. The active count is identical
-    before and after.
+    at zero with fresh optimizer moments, and the moments of pruned
+    entries are cleared, so every inactive weight and moment is zero
+    afterwards. The active count is identical before and after.
     """
     rho_t = update_ratio(sched, t)
     active_before = mask.active_count
@@ -167,10 +169,8 @@ def exploration_step(
     grown = select_grow(grad, mask, len(pruned), exclude=pruned)
     flat_bits[grown] = True
     flat_w[grown] = 0.0
-    if opt is not None and len(grown):
-        grown_bits = np.zeros(mask.total, dtype=bool)
-        grown_bits[grown] = True
-        opt.reset_positions(grown_bits.reshape(mask.bits.shape))
+    if opt is not None:
+        opt.reset_positions(np.concatenate([pruned, grown]))
     assert mask.active_count == active_before, "mask update changed the budget"
     return ExplorationEvent(
         t=t,

@@ -337,6 +337,7 @@ def test_06_cost_model():
 # 7-9. desk-scale ordering experiments
 
 
+@pytest.mark.slow
 def test_07_method_ordering(desk_runs):
     r = desk_runs["recalls"]
     dsl, rp, dense = r["dsl"].mean(), r["rp"].mean(), r["dense"].mean()
@@ -353,6 +354,7 @@ def test_07_method_ordering(desk_runs):
     assert ok
 
 
+@pytest.mark.slow
 def test_08_decay_ordering(desk_runs):
     r = desk_runs["recalls"]
     cos_m, cos_s = r["dsl"].mean(), r["dsl"].std()
@@ -367,6 +369,7 @@ def test_08_decay_ordering(desk_runs):
     assert ok
 
 
+@pytest.mark.slow
 def test_09_popularity_sparsity_profile(desk_runs, capsys):
     run_dir = desk_runs["dsl_run_dir"]
     rc = cli_main(["profile", str(run_dir), "--groups", "10"])

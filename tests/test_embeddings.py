@@ -127,6 +127,53 @@ def test_masked_step_adam_moments_stay_zero_inactive(rng):
     assert np.all(opt.v[~mask.bits] == 0.0)
 
 
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_masked_step_sparse_mask_matches_reference_on_active(rng, kind):
+    shape = (6, 5)
+    mask = init_mask(shape, 0.5, rng)
+    active = mask.bits
+    w0 = rng.normal(size=shape) * active
+    grads = [rng.normal(size=shape) for _ in range(5)]
+    zero_at = tuple(np.argwhere(active)[0])
+    grads[2][zero_at] = 0.0
+    t = table_of(w0.copy())
+    opt = OptimizerState(kind, lr=0.01)
+    for g in grads[:2]:
+        masked_step(t, g, mask, opt)
+    before = t.weights[zero_at]
+    masked_step(t, grads[2], mask, opt)
+    moved = t.weights[zero_at] != before
+    for g in grads[3:]:
+        masked_step(t, g, mask, opt)
+
+    # reference on the active entries alone, dense adam: every moment
+    # decays on every step, also where the gradient is zero
+    b1, b2 = 0.9, 0.999
+    w = w0[active]
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+    for step, g in enumerate(grads, start=1):
+        g = g[active]
+        if kind == "sgd":
+            w -= 0.01 * g
+            continue
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**step)
+        v_hat = v / (1.0 - b2**step)
+        w -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    assert np.array_equal(t.weights[active], w)
+    assert np.all(t.weights[~active] == 0.0)
+    # adam still moves the entry through its decaying first moment; sgd
+    # leaves it where it was
+    assert moved == (kind == "adam")
+    if kind == "adam":
+        assert np.array_equal(opt.m[active], m)
+        assert np.array_equal(opt.v[active], v)
+        assert np.all(opt.m[~active] == 0.0)
+        assert np.all(opt.v[~active] == 0.0)
+
+
 def test_masked_step_rejects_nonfinite_grad(rng):
     t = table_of(rng.normal(size=(3, 3)))
     mask = SparseMask(np.ones((3, 3), dtype=bool))

@@ -18,7 +18,7 @@ from sparsecf import (
     score,
     score_matrix,
 )
-from sparsecf.models import _scatter_add_rows
+from sparsecf.models import _incidence
 
 
 def table_of(num_users, num_items, weights):
@@ -167,11 +167,12 @@ def test_scatter_add_rows_matches_add_at(rng):
         m = int(rng.integers(1, 50))
         idx = rng.integers(0, n, size=m)
         vals = rng.normal(size=(m, 4))
-        got = np.zeros((n, 4))
-        _scatter_add_rows(got, idx, vals)
+        got = _incidence(idx, n) @ vals
         want = np.zeros((n, 4))
         np.add.at(want, idx, vals)
-        assert np.allclose(got, want, atol=1e-12)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        untouched = np.setdiff1d(np.arange(n), idx)
+        assert np.all(got[untouched] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +263,39 @@ def test_bpr_rejects_empty_batch():
     cfg = BackboneConfig(kind="mf")
     with pytest.raises(ValueError, match="empty"):
         bpr_loss_and_grad(cfg, t, None, TrainBatch(np.empty((0, 3), dtype=np.int64)))
+
+
+def add_at_reference_grad(cfg, weights, num_users, batch):
+    """BPR gradient with both scatters written as np.add.at."""
+    users = batch.users
+    pos = batch.pos_items + num_users
+    neg = batch.neg_items + num_users
+    rows = np.concatenate([users, pos, neg])
+    b = len(batch)
+    combined = combined_embeddings(cfg, weights)
+    e_u, e_i, e_j = combined[users], combined[pos], combined[neg]
+    x = np.einsum("bd,bd->b", e_u, e_i - e_j)
+    coeff = (-1.0 / (1.0 + np.exp(x)) / b)[:, None]
+    rank = np.zeros_like(weights)
+    np.add.at(rank, rows, np.concatenate([coeff * (e_i - e_j), coeff * e_u, -coeff * e_u]))
+    grad = lightgcn_propagate(cfg, rank) if cfg.propagates() else rank
+    np.add.at(grad, rows, 2.0 * cfg.l2_reg / b * weights[rows])
+    return grad
+
+
+@pytest.mark.parametrize("kind,layers", [("mf", 0), ("lightgcn", 2)])
+def test_bpr_gradient_scatter_matches_add_at(rng, kind, layers):
+    # 5 users, 8 items; user 4 and items 6, 7 are in no triple, and the
+    # repeated triple and shared rows exercise repeated indices
+    ds = make_dataset(5, 8, [(0, 0), (0, 1), (1, 1), (2, 3), (1, 2), (3, 4), (2, 5)])
+    t = table_of(5, 8, rng.normal(size=(13, 4)))
+    cfg = BackboneConfig.for_dataset(kind, layers, ds, l2_reg=1e-2)
+    batch = batch_of((0, 0, 2), (1, 1, 3), (2, 3, 0), (0, 0, 2), (3, 4, 5), (0, 1, 4))
+    _, grad = bpr_loss_and_grad(cfg, t, None, batch)
+    want = add_at_reference_grad(cfg, t.weights, 5, batch)
+    assert np.allclose(grad, want, rtol=0.0, atol=1e-12)
+    if kind == "mf":
+        assert np.all(grad[[4, 5 + 6, 5 + 7]] == 0.0)
 
 
 # ---------------------------------------------------------------------------
