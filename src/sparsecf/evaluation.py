@@ -4,6 +4,13 @@ Every test user is ranked against the full item catalog. Items already
 seen in training are skipped without disturbing the ranks of the
 remaining items, and score ties break toward the lower item index so
 results are reproducible across runs and platforms.
+
+Only the top k of each ranking is built, never the full order: train
+items are scored -inf so they sort after every remaining item,
+`np.partition` finds each row's k-th largest score, and the items at or
+above it (more than k only on a tie at that score) are sorted by
+descending score, then ascending item index. The first k of them are
+exactly the first k of the full stable sort. Scores must be finite.
 """
 
 from __future__ import annotations
@@ -65,10 +72,12 @@ def _user_item_lists(edges: np.ndarray, num_users: int) -> tuple:
     return items, indptr
 
 
-def _idcg_table(k: int) -> np.ndarray:
-    """idcg[m] = best possible DCG with m relevant items, m in [0, k]."""
-    gains = 1.0 / np.log2(np.arange(1, k + 1) + 1.0)
-    return np.concatenate([[0.0], np.cumsum(gains)])
+def _chunk_items(items: np.ndarray, indptr: np.ndarray, users: np.ndarray) -> tuple:
+    """(row, item) pairs of the listed users' items; row indexes users."""
+    counts = indptr[users + 1] - indptr[users]
+    rows = np.repeat(np.arange(len(users)), counts)
+    first = np.repeat(indptr[users] - np.cumsum(counts) + counts, counts)
+    return rows, items[first + np.arange(len(rows))]
 
 
 def evaluate_combined(
@@ -77,15 +86,23 @@ def evaluate_combined(
     k: int,
     user_batch: int = 512,
 ) -> MetricsReport:
-    """Rank with precomputed scorer-ready embeddings (masked, propagated)."""
+    """Rank with precomputed scorer-ready embeddings (masked, propagated).
+
+    Raises FloatingPointError naming the first user with a non-finite
+    score, as the loss and gradient checks do for a diverged table.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if ds.num_test == 0:
         raise ValueError("dataset has no test interactions")
+    num_items = ds.num_items
     test_users = np.unique(ds.test_edges[:, 0])
     train_items, train_ptr = _user_item_lists(ds.train_edges, ds.num_users)
     test_items, test_ptr = _user_item_lists(ds.test_edges, ds.num_users)
-    idcg = _idcg_table(k)
+    kk = min(k, num_items)
+    gains = 1.0 / np.log2(np.arange(1, kk + 1) + 1.0)
+    # idcg[m] = best possible DCG with m relevant items, m in [0, kk]
+    idcg = np.concatenate([[0.0], np.cumsum(gains)])
 
     recall_sum = 0.0
     ndcg_sum = 0.0
@@ -93,22 +110,36 @@ def evaluate_combined(
     for start in range(0, len(test_users), user_batch):
         chunk = test_users[start : start + user_batch]
         scores = score_matrix(combined, ds.num_users, chunk)
-        excluded = np.zeros_like(scores, dtype=bool)
-        relevant = np.zeros_like(scores, dtype=bool)
-        for row, u in enumerate(chunk):
-            excluded[row, train_items[train_ptr[u] : train_ptr[u + 1]]] = True
-            relevant[row, test_items[test_ptr[u] : test_ptr[u + 1]]] = True
-        order = np.argsort(-scores, axis=1, kind="stable")
-        ex_sorted = np.take_along_axis(excluded, order, axis=1)
-        rel_sorted = np.take_along_axis(relevant, order, axis=1)
-        # rank among the items that remain after exclusion, 1-based
-        eff_rank = np.cumsum(~ex_sorted, axis=1)
-        hit = rel_sorted & ~ex_sorted & (eff_rank <= k)
-        dcg = np.where(hit, 1.0 / np.log2(np.maximum(eff_rank, 1) + 1.0), 0.0).sum(axis=1)
-        n_test = relevant.sum(axis=1)
+        finite = np.isfinite(scores).all(axis=1)
+        if not finite.all():
+            raise FloatingPointError(f"non-finite score for user {chunk[np.argmin(finite)]}")
+        # train items sort after every remaining item, so they take no rank
+        scores[_chunk_items(train_items, train_ptr, chunk)] = -np.inf
+        # every item scoring at least the kk-th largest score; more than kk
+        # per row only on a tie at that threshold. The copy frees the
+        # partitioned block instead of keeping it alive through a view.
+        tau = np.partition(scores, num_items - kk, axis=1)[:, num_items - kk].copy()
+        flat = np.flatnonzero(scores >= tau[:, None])
+        rows, items = np.divmod(flat, num_items)
+        vals = scores.ravel()[flat]
+        # by row, then descending score, ties toward the lower item index
+        order = np.lexsort((items, -vals, rows))
+        # rows is already in row order, so it is also the row of each
+        # sorted position; rank is the position within that row
+        per_row = np.bincount(rows, minlength=len(chunk))
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+        top = order[rank < kk]
+        top_items = items[top].reshape(len(chunk), kk)
+        relevant = np.zeros(scores.shape, dtype=bool)
+        relevant[_chunk_items(test_items, test_ptr, chunk)] = True
+        # a train item (never a test item) takes a top slot only when fewer
+        # than kk items remain, and is never relevant
+        hit = np.take_along_axis(relevant, top_items, axis=1)
+        dcg = np.where(hit, gains, 0.0).sum(axis=1)
+        n_test = np.diff(test_ptr)[chunk]
         hits = hit.sum(axis=1)
         recall_sum += float((hits / n_test).sum())
-        ndcg_sum += float((dcg / idcg[np.minimum(n_test, k)]).sum())
+        ndcg_sum += float((dcg / idcg[np.minimum(n_test, kk)]).sum())
         hr_sum += float((hits > 0).sum())
     n = len(test_users)
     return MetricsReport(

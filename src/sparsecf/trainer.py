@@ -60,7 +60,7 @@ METRICS_COLUMNS = (
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when a non-finite loss or gradient stops a run early.
+    """Raised when a non-finite loss, gradient or score stops a run early.
 
     The run directory (when one was requested) retains the last good
     checkpoint and all rows logged before the abort.
@@ -325,6 +325,7 @@ def _run_phase(
     sched = cfg.schedule() if explore else None
     t_final = t_start + iterations
     for t in range(t_start + 1, t_final + 1):
+        snapshot = t % eval_every == 0 or t == t_final
         try:
             if explore and is_exploration_iteration(sched, t - t_start):
 
@@ -339,13 +340,13 @@ def _run_phase(
                 masked_step(table, grad, mask, opt)
                 art.losses.append((t, loss))
                 state.macs_cum += macs_training(state.fwd, 1, mask.sparsity)
+            if snapshot:
+                art.metrics.append(state.snapshot_metrics(t, table, mask, art.run_id))
         except FloatingPointError as exc:
             art.aborted = True
             raise TrainingAborted(t, str(exc), art) from exc
-        if t % eval_every == 0 or t == t_final:
-            art.metrics.append(state.snapshot_metrics(t, table, mask, art.run_id))
-            if snapshot_hook is not None:
-                snapshot_hook(t, table, mask)
+        if snapshot and snapshot_hook is not None:
+            snapshot_hook(t, table, mask)
 
 
 def train(

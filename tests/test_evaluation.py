@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sparsecf import (
     BackboneConfig,
@@ -13,6 +15,7 @@ from sparsecf import (
     popularity_sparsity_correlation,
     sparsity_profile,
 )
+from sparsecf.models import score_matrix
 
 
 def dense_mask(shape):
@@ -91,9 +94,11 @@ def test_recall_at_catalog_size_is_one(rng):
     ds = make_dataset(3, 6, [(0, 0), (1, 1), (2, 2)],
                       [(0, 3), (1, 4), (1, 5), (2, 0)])
     scores = rng.normal(size=(3, 6))
-    rep = eval_scores(scores, ds, 6)
-    assert rep.recall == 1.0
-    assert rep.hr == 1.0
+    # k = 7 exceeds the catalog: the cutoff is clamped to all 6 items
+    for k in (6, 7):
+        rep = eval_scores(scores, ds, k)
+        assert rep.recall == 1.0
+        assert rep.hr == 1.0
 
 
 def test_ranking_invariant_to_monotone_score_transform(rng):
@@ -149,6 +154,86 @@ def test_evaluate_validates_inputs(rng):
     empty = make_dataset(1, 2, [(0, 0)])
     with pytest.raises(ValueError, match="test"):
         evaluate_combined(rng.normal(size=(3, 2)), empty, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e300])
+def test_non_finite_scores_name_the_user(rng, bad):
+    ds = make_dataset(3, 4, [(0, 0), (1, 1), (2, 2)], [(0, 1), (1, 2), (2, 3)])
+    combined = rng.normal(size=(7, 2))
+    # a NaN entry, or one whose products overflow to inf, in user 1's row
+    combined[1, 0] = bad
+    combined[3:, 0] = np.abs(combined[3:, 0]) + 1e10
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="user 1$"):
+        evaluate_combined(combined, ds, 2)
+
+
+def full_sort_reference(combined, ds, k, user_batch):
+    """Metrics from a full stable sort of every score row.
+
+    The ranking of evaluate_combined before it selected only the top k:
+    every row is argsorted, train items are skipped by a running count of
+    the remaining items, and a hit needs an effective rank <= k.
+    """
+    def user_item_lists(edges):
+        order = np.argsort(edges[:, 0], kind="stable")
+        counts = np.bincount(edges[:, 0], minlength=ds.num_users)
+        return edges[order, 1], np.concatenate([[0], np.cumsum(counts)])
+
+    test_users = np.unique(ds.test_edges[:, 0])
+    train_items, train_ptr = user_item_lists(ds.train_edges)
+    test_items, test_ptr = user_item_lists(ds.test_edges)
+    gains = 1.0 / np.log2(np.arange(1, k + 1) + 1.0)
+    idcg = np.concatenate([[0.0], np.cumsum(gains)])
+    recall_sum = ndcg_sum = hr_sum = 0.0
+    for start in range(0, len(test_users), user_batch):
+        chunk = test_users[start : start + user_batch]
+        scores = score_matrix(combined, ds.num_users, chunk)
+        excluded = np.zeros_like(scores, dtype=bool)
+        relevant = np.zeros_like(scores, dtype=bool)
+        for row, u in enumerate(chunk):
+            excluded[row, train_items[train_ptr[u] : train_ptr[u + 1]]] = True
+            relevant[row, test_items[test_ptr[u] : test_ptr[u + 1]]] = True
+        order = np.argsort(-scores, axis=1, kind="stable")
+        ex_sorted = np.take_along_axis(excluded, order, axis=1)
+        rel_sorted = np.take_along_axis(relevant, order, axis=1)
+        eff_rank = np.cumsum(~ex_sorted, axis=1)
+        hit = rel_sorted & ~ex_sorted & (eff_rank <= k)
+        dcg = np.where(hit, 1.0 / np.log2(np.maximum(eff_rank, 1) + 1.0), 0.0).sum(axis=1)
+        n_test = relevant.sum(axis=1)
+        hits = hit.sum(axis=1)
+        recall_sum += float((hits / n_test).sum())
+        ndcg_sum += float((dcg / idcg[np.minimum(n_test, k)]).sum())
+        hr_sum += float((hits > 0).sum())
+    n = len(test_users)
+    return recall_sum / n, ndcg_sum / n, hr_sum / n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_users=st.integers(min_value=1, max_value=6),
+    num_items=st.integers(min_value=1, max_value=40),
+    dim=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+    k_over=st.integers(min_value=0, max_value=43),
+    user_batch=st.sampled_from([1, 3, 512]),
+)
+def test_top_k_selection_matches_full_sort(num_users, num_items, dim, seed, k_over, user_batch):
+    rng = np.random.default_rng(seed)
+    # 0: no interaction, 1: train, 2: test; train-heavy so that some users
+    # keep fewer than k items after exclusion
+    cells = rng.choice([0, 1, 1, 2], size=(num_users, num_items))
+    assume((cells == 2).any())
+    ds = make_dataset(num_users, num_items, np.argwhere(cells == 1), np.argwhere(cells == 2))
+    # small integers: exact scores with many ties, zero rows included
+    combined = rng.integers(-2, 3, size=(num_users + num_items, dim)).astype(np.float64)
+    k = 1 + k_over % (num_items + 3)  # up to 3 beyond the catalog
+    rep = evaluate_combined(combined, ds, k, user_batch=user_batch)
+    recall, ndcg, hr = full_sort_reference(combined, ds, k, user_batch)
+    assert rep.recall == recall
+    assert rep.hr == hr
+    # a DCG sums k gains instead of a full row with zeros between them, so
+    # the summation order, and with it the last bit, can differ
+    assert rep.ndcg == pytest.approx(ndcg, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
