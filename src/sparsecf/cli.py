@@ -29,29 +29,7 @@ SWEEP_COLUMNS = ("method", "sparsity", "seed_count", "recall_mean", "recall_std"
                  "ndcg_std", "macs_train", "macs_infer", "memory", "status")
 PROFILE_COLUMNS = ("group_id", "side", "mean_popularity", "mean_sparsity")
 
-_CONFIG_FLAGS = {
-    "method": str,
-    "backbone": str,
-    "num_layers": int,
-    "dim": int,
-    "sparsity": float,
-    "rho0": float,
-    "delta_t": int,
-    "t_end": int,
-    "decay": str,
-    "optimizer": str,
-    "lr": float,
-    "l2_reg": float,
-    "batch_size": int,
-    "eval_every": int,
-    "eval_k": int,
-    "seed": int,
-    "init_scale": float,
-    "fine_tune_iters": int,
-    "dense_checkpoint": str,
-    "bytes_per_weight": int,
-    "run_id": str,
-}
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 _dataset_cache: dict = {}
 
@@ -102,12 +80,19 @@ class SweepSpec:
         ]
 
 
+def _flag_fields() -> list:
+    """The RunConfig fields that have a --flag; --data sets data_dir."""
+    return [f for f in fields(RunConfig) if f.name != "data_dir"]
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    for name, typ in _CONFIG_FLAGS.items():
-        flag = "--" + name.replace("_", "-")
-        p.add_argument(flag, type=typ, default=None, help=f"override config {name}")
-    p.add_argument("--log-positions", action="store_true", default=None,
-                   help="log full position lists in exploration.jsonl")
+    for f in _flag_fields():
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            p.add_argument(flag, action="store_true", default=None, help=f"set config {f.name}")
+        else:
+            typ = _FLAG_TYPES[f.type.removesuffix(" | None")]
+            p.add_argument(flag, type=typ, default=None, help=f"override config {f.name}")
 
 
 def _resolve_config(args) -> RunConfig:
@@ -120,10 +105,10 @@ def _resolve_config(args) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(file_cfg)
-    for name in list(_CONFIG_FLAGS) + ["log_positions"]:
-        flag_val = getattr(args, name, None)
+    for f in _flag_fields():
+        flag_val = getattr(args, f.name, None)
         if flag_val is not None:
-            values[name] = flag_val
+            values[f.name] = flag_val
     if getattr(args, "data", None):
         values["data_dir"] = str(args.data)
     cfg = RunConfig(**values)
@@ -224,7 +209,7 @@ def _sweep_cell(data_dir: str, cfg_dict: dict, run_dir: str, resume: bool) -> di
             "hr": row["hr"],
             "macs_train": row["macs_train_cum"],
             "macs_infer": row["macs_infer"],
-            "memory": memory_bytes(active, total, cfg.bytes_per_weight),
+            "memory": memory_bytes(active, total),
         }
     except Exception as exc:  # noqa: BLE001  (cell isolation is the contract)
         return {

@@ -21,13 +21,6 @@ class CostReport:
     macs_infer: float
     memory_bytes: int
 
-    def as_dict(self) -> dict:
-        return {
-            "macs_train": self.macs_train,
-            "macs_infer": self.macs_infer,
-            "memory_bytes": self.memory_bytes,
-        }
-
 
 def macs_inference(
     backbone: str,
@@ -90,8 +83,8 @@ def macs_training(
     return per_sparse * iterations + per_dense * exploration_iterations
 
 
-def memory_bytes(active_count: int, total_entries: int, bytes_per_weight: int = 8) -> int:
-    """Storage for the sparse table: active weights plus the mask bitset."""
+def memory_bytes(active_count: int, total_entries: int) -> int:
+    """Storage for the sparse table: active float64 weights plus the mask bitset."""
     if active_count < 0 or total_entries < active_count:
         raise ValueError("need 0 <= active_count <= total_entries")
-    return active_count * bytes_per_weight + math.ceil(total_entries / 8)
+    return active_count * 8 + math.ceil(total_entries / 8)

@@ -2,7 +2,11 @@
 
 The table stores user and item embeddings in one (num_users + num_items,
 dim) float64 array, users first. A mask of the same shape marks which
-entries are trainable; masked-out entries are held at exactly zero.
+entries are trainable; masked-out entries are held at exactly zero, so
+the zeroed table *is* the masked model. Scoring and the BPR loss
+(models.bpr_loss_and_grad) read the weights as stored and rely on this;
+only apply_mask builds a masked copy, for a (table, mask) pair that
+comes from outside a run.
 """
 
 from __future__ import annotations
@@ -26,21 +30,8 @@ class EmbeddingTable:
     weights: np.ndarray  # (num_users + num_items, dim) float64
 
     @property
-    def num_rows(self) -> int:
-        return self.num_users + self.num_items
-
-    @property
     def total_entries(self) -> int:
         return self.weights.size
-
-    def user_rows(self) -> np.ndarray:
-        return self.weights[: self.num_users]
-
-    def item_rows(self) -> np.ndarray:
-        return self.weights[self.num_users :]
-
-    def item_row_index(self, items: np.ndarray) -> np.ndarray:
-        return np.asarray(items) + self.num_users
 
 
 def init_table(
@@ -75,9 +66,6 @@ class SparseMask:
     @property
     def sparsity(self) -> float:
         return 1.0 - self.active_count / self.total
-
-    def copy(self) -> "SparseMask":
-        return SparseMask(self.bits.copy(), self.target_sparsity)
 
 
 def target_active_count(total: int, sparsity: float) -> int:
@@ -164,6 +152,8 @@ def masked_step(
     Precondition: inactive weights and Adam moments are exactly zero.
     They are left untouched, so they stay zero; the trainer establishes
     this when a phase starts and when exploration prunes or regrows.
+    The zeroed table is then the masked model, which is what
+    models.bpr_loss_and_grad and the trainer's evaluation read.
     """
     if grad.shape != table.weights.shape:
         raise ValueError(f"grad shape {grad.shape} != table shape {table.weights.shape}")

@@ -22,7 +22,7 @@ from scipy.stats import spearmanr
 
 from .data import InteractionDataset
 from .embeddings import EmbeddingTable, SparseMask, apply_mask
-from .models import BackboneConfig, build_adjacency, combined_embeddings, score_matrix
+from .models import BackboneConfig, combined_embeddings, score_matrix
 
 SIDES = ("users", "items")
 
@@ -36,15 +36,6 @@ class MetricsReport:
     ndcg: float
     hr: float
     users_evaluated: int
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "recall": self.recall,
-            "ndcg": self.ndcg,
-            "hr": self.hr,
-            "users_evaluated": self.users_evaluated,
-        }
 
 
 @dataclass
@@ -162,10 +153,9 @@ def evaluate(
     """Recall@k, NDCG@k and HR@k under full ranking with train exclusion.
 
     Scores come from the masked table (propagated first for graph
-    backbones). Users without test interactions are skipped.
+    backbones, which needs cfg.adjacency). Users without test
+    interactions are skipped.
     """
-    if cfg.propagates() and cfg.adjacency is None:
-        cfg = BackboneConfig(cfg.kind, cfg.layers, cfg.l2_reg, build_adjacency(ds))
     combined = combined_embeddings(cfg, apply_mask(table, mask))
     return evaluate_combined(combined, ds, k, user_batch=user_batch)
 

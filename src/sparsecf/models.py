@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import InteractionDataset, TrainBatch
-from .embeddings import EmbeddingTable, SparseMask, apply_mask
+from .embeddings import EmbeddingTable
 
 BACKBONES = ("mf", "lightgcn")
 
@@ -94,13 +94,8 @@ class BackboneConfig:
         return cls(kind=kind, layers=layers, l2_reg=l2_reg, adjacency=adj)
 
 
-def _weights_of(table) -> np.ndarray:
-    return table.weights if isinstance(table, EmbeddingTable) else np.asarray(table)
-
-
-def lightgcn_propagate(cfg: BackboneConfig, table) -> np.ndarray:
+def lightgcn_propagate(cfg: BackboneConfig, weights: np.ndarray) -> np.ndarray:
     """Mean of the layer-0..L embeddings under E_l = adj @ E_{l-1}."""
-    weights = _weights_of(table)
     if cfg.layers == 0:
         return weights.copy()
     if cfg.adjacency is None:
@@ -114,21 +109,11 @@ def lightgcn_propagate(cfg: BackboneConfig, table) -> np.ndarray:
     return out
 
 
-def combined_embeddings(cfg: BackboneConfig, table) -> np.ndarray:
-    """Embeddings the scorer actually uses, given the (masked) table."""
-    weights = _weights_of(table)
+def combined_embeddings(cfg: BackboneConfig, weights: np.ndarray) -> np.ndarray:
+    """Embeddings the scorer actually uses, given the table weights."""
     if not cfg.propagates():
         return weights
     return lightgcn_propagate(cfg, weights)
-
-
-def score(cfg: BackboneConfig, table: EmbeddingTable, u, i):
-    """Dot-product score for user u and item i (scalars or index arrays)."""
-    combined = combined_embeddings(cfg, table)
-    e_u = combined[np.asarray(u)]
-    e_i = combined[np.asarray(i) + table.num_users]
-    out = np.einsum("...d,...d->...", e_u, e_i)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def score_matrix(combined: np.ndarray, num_users: int, users: np.ndarray) -> np.ndarray:
@@ -146,23 +131,19 @@ def _incidence(rows: np.ndarray, num_rows: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(n), (rows, np.arange(n))), shape=(num_rows, n))
 
 
-def bpr_loss_and_grad(
-    cfg: BackboneConfig,
-    table: EmbeddingTable,
-    mask: SparseMask | None,
-    batch: TrainBatch,
-) -> tuple:
-    """BPR loss and its dense gradient with respect to the (masked) table.
+def bpr_loss_and_grad(cfg: BackboneConfig, table: EmbeddingTable, batch: TrainBatch) -> tuple:
+    """BPR loss and its dense gradient with respect to the table.
 
     Loss is mean softplus(-x) over the batch with x = e_u . (e_i - e_j)
     in combined space, plus l2_reg * mean(|e_u|^2 + |e_i|^2 + |e_j|^2)
-    on the base rows of each triple. Scoring uses the masked table when a
-    mask is given, but the gradient treats every table entry as free,
-    including masked-out ones, so growth can rank them.
+    on the base rows of each triple. The weights are read as stored: a
+    masked model is its table with the inactive entries held at exactly
+    zero (see embeddings). The gradient treats every entry as free,
+    including those zeros, so growth can rank them.
     """
     if len(batch) == 0:
         raise ValueError("batch is empty")
-    weights = apply_mask(table, mask) if mask is not None else table.weights
+    weights = table.weights
     num_users = table.num_users
     users = batch.users
     pos = batch.pos_items + num_users

@@ -27,7 +27,6 @@ from .embeddings import (
     EmbeddingTable,
     OptimizerState,
     SparseMask,
-    apply_mask,
     init_mask,
     init_table,
     load_checkpoint,
@@ -96,7 +95,6 @@ class RunConfig:
     fine_tune_iters: int | None = None  # omp only; defaults to t_end
     dense_checkpoint: str | None = None  # omp: reuse an existing dense table
     log_positions: bool = False
-    bytes_per_weight: int = 8
     data_dir: str | None = None
     run_id: str | None = None
 
@@ -279,12 +277,12 @@ class _RunState:
         zero_inactive(table, mask)
         return mask
 
-    def grad_on_fresh_batch(self, table: EmbeddingTable, mask: SparseMask):
+    def grad_on_fresh_batch(self, table: EmbeddingTable):
         batch = sample_batch(self.ds, self.cfg.batch_size, self.batch_rng)
-        return bpr_loss_and_grad(self.bb, table, mask, batch)
+        return bpr_loss_and_grad(self.bb, table, batch)
 
     def snapshot_metrics(self, t: int, table: EmbeddingTable, mask: SparseMask, run_id: str):
-        combined = combined_embeddings(self.bb, apply_mask(table, mask))
+        combined = combined_embeddings(self.bb, table.weights)
         report = evaluate_combined(combined, self.ds, self.cfg.eval_k)
         s = mask.sparsity
         return {
@@ -330,13 +328,13 @@ def _run_phase(
             if explore and is_exploration_iteration(sched, t - t_start):
 
                 def grad_fn():
-                    return state.grad_on_fresh_batch(table, mask)[1]
+                    return state.grad_on_fresh_batch(table)[1]
 
                 event = exploration_step(table, mask, opt, sched, t - t_start, grad_fn)
                 art.events.append(event)
                 state.macs_cum += macs_training(state.fwd, 0, 0.0, exploration_iterations=1)
             else:
-                loss, grad = state.grad_on_fresh_batch(table, mask)
+                loss, grad = state.grad_on_fresh_batch(table)
                 masked_step(table, grad, mask, opt)
                 art.losses.append((t, loss))
                 state.macs_cum += macs_training(state.fwd, 1, mask.sparsity)
@@ -386,8 +384,7 @@ def train(
         art.cost = CostReport(
             macs_train=state.macs_cum,
             macs_infer=art.metrics[-1]["macs_infer"],
-            memory_bytes=memory_bytes(art.mask.active_count, art.mask.total,
-                                      cfg.bytes_per_weight),
+            memory_bytes=memory_bytes(art.mask.active_count, art.mask.total),
         )
     if out_dir is not None:
         _write_run_dir(out_dir, art, ds, cfg)

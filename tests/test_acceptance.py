@@ -241,9 +241,9 @@ def _numeric_grad(cfg, table, batch, h=1e-6):
     for pos in range(w.size):
         orig = w.flat[pos]
         w.flat[pos] = orig + h
-        lp, _ = bpr_loss_and_grad(cfg, table, None, batch)
+        lp, _ = bpr_loss_and_grad(cfg, table, batch)
         w.flat[pos] = orig - h
-        lm, _ = bpr_loss_and_grad(cfg, table, None, batch)
+        lm, _ = bpr_loss_and_grad(cfg, table, batch)
         w.flat[pos] = orig
         out.flat[pos] = (lp - lm) / (2.0 * h)
     return out
@@ -270,7 +270,7 @@ def test_04_gradient_check():
                 rng.integers(0, ni, size=5),
             ]).astype(np.int64)
             batch = TrainBatch(triples)
-            _, grad = bpr_loss_and_grad(cfg, table, None, batch)
+            _, grad = bpr_loss_and_grad(cfg, table, batch)
             num = _numeric_grad(cfg, table, batch)
             rel = np.abs(grad - num) / np.maximum(np.abs(num), 1e-8)
             worst = max(worst, float(rel.max()))

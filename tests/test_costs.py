@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sparsecf import macs_forward_batch, macs_inference, macs_training, memory_bytes
-from sparsecf.costs import CostReport
 
 
 def test_inference_lightgcn_plug_in():
@@ -96,7 +95,6 @@ def test_memory_counts_weights_and_bitset():
     assert memory_bytes(100, 1000) == 100 * 8 + 125
     assert memory_bytes(100, 1001) == 100 * 8 + math.ceil(1001 / 8)
     assert memory_bytes(0, 8) == 1
-    assert memory_bytes(4, 4, bytes_per_weight=4) == 16 + 1
 
 
 def test_memory_halves_with_active_count():
@@ -112,11 +110,3 @@ def test_memory_validation():
     with pytest.raises(ValueError):
         memory_bytes(11, 10)
 
-
-def test_cost_report_round_trip():
-    rep = CostReport(macs_train=1.5e9, macs_infer=2.5e8, memory_bytes=4096)
-    assert rep.as_dict() == {
-        "macs_train": 1.5e9,
-        "macs_infer": 2.5e8,
-        "memory_bytes": 4096,
-    }

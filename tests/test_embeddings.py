@@ -57,7 +57,6 @@ def test_init_table_shape_and_scale(rng):
     t = init_table(50, 70, 8, rng, scale=0.01)
     assert t.weights.shape == (120, 8)
     assert abs(t.weights.std() - 0.01) < 0.002
-    assert t.item_rows().shape == (70, 8)
 
 
 def test_apply_mask_identity_and_idempotence(rng):

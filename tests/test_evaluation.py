@@ -129,7 +129,15 @@ def test_evaluate_uses_masked_table(rng):
     rep = evaluate(cfg, t, mask, ds, 2)
     zeroed = EmbeddingTable(2, 3, 4, w * bits)
     rep_z = evaluate(cfg, zeroed, dense_mask((5, 4)), ds, 2)
-    assert rep.as_dict() == rep_z.as_dict()
+    assert rep == rep_z
+
+
+def test_evaluate_requires_adjacency_for_lightgcn(rng):
+    ds = make_dataset(2, 3, [(0, 0), (1, 1)], [(0, 1), (1, 2)])
+    t = EmbeddingTable(2, 3, 4, rng.normal(size=(5, 4)))
+    cfg = BackboneConfig(kind="lightgcn", layers=2)
+    with pytest.raises(ValueError, match="lightgcn propagation needs cfg.adjacency"):
+        evaluate(cfg, t, dense_mask((5, 4)), ds, 2)
 
 
 def test_evaluate_batched_equals_unbatched(rng):

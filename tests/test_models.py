@@ -6,16 +6,12 @@ import pytest
 from sparsecf import (
     BackboneConfig,
     EmbeddingTable,
-    SparseMask,
     TrainBatch,
-    apply_mask,
     bpr_loss_and_grad,
     build_adjacency,
     combined_embeddings,
-    init_mask,
     lightgcn_propagate,
     make_dataset,
-    score,
     score_matrix,
 )
 from sparsecf.models import _incidence
@@ -71,13 +67,12 @@ def test_propagate_zero_layers_is_identity(rng):
     ds = make_dataset(2, 2, [(0, 0)])
     t = table_of(2, 2, rng.normal(size=(4, 3)))
     cfg = BackboneConfig(kind="lightgcn", layers=0, adjacency=build_adjacency(ds))
-    assert np.array_equal(lightgcn_propagate(cfg, t), t.weights)
+    assert np.array_equal(lightgcn_propagate(cfg, t.weights), t.weights)
 
 
 def test_propagate_matches_dense_matmul(rng):
     ds = make_dataset(3, 4, [(0, 0), (0, 1), (1, 1), (2, 3), (1, 2)])
     e = rng.normal(size=(7, 5))
-    t = table_of(3, 4, e)
     dense = build_adjacency(ds).toarray()
     for layers in (1, 2, 3):
         cfg = lightgcn_cfg(ds, layers)
@@ -86,14 +81,14 @@ def test_propagate_matches_dense_matmul(rng):
         for _ in range(layers):
             cur = dense @ cur
             acc += cur
-        assert np.allclose(lightgcn_propagate(cfg, t), acc / (layers + 1), atol=1e-12)
+        assert np.allclose(lightgcn_propagate(cfg, e), acc / (layers + 1), atol=1e-12)
 
 
 def test_propagate_single_pair_averages_rows():
     ds = make_dataset(1, 1, [(0, 0)])
     t = table_of(1, 1, [[1.0, 0.0], [0.0, 1.0]])
     cfg = lightgcn_cfg(ds, 1)
-    out = lightgcn_propagate(cfg, t)
+    out = lightgcn_propagate(cfg, t.weights)
     assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]], atol=0)
 
 
@@ -129,32 +124,26 @@ def test_propagate_requires_adjacency():
 def test_mf_score_is_dot_product():
     t = table_of(1, 1, [[1.0, 2.0], [3.0, 4.0]])
     cfg = BackboneConfig(kind="mf")
-    assert score(cfg, t, 0, 0) == 11.0
-
-
-def test_score_accepts_arrays():
-    t = table_of(2, 2, [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 3.0]])
-    cfg = BackboneConfig(kind="mf")
-    got = score(cfg, t, np.array([0, 1]), np.array([0, 1]))
-    assert np.array_equal(got, [2.0, 3.0])
+    assert score_matrix(combined_embeddings(cfg, t.weights), 1, [0])[0, 0] == 11.0
 
 
 def test_lightgcn_score_single_pair():
     ds = make_dataset(1, 1, [(0, 0)])
     t = table_of(1, 1, [[1.0, 0.0], [0.0, 1.0]])
     cfg = lightgcn_cfg(ds, 1)
-    assert score(cfg, t, 0, 0) == pytest.approx(0.5, abs=1e-15)
+    got = score_matrix(combined_embeddings(cfg, t.weights), 1, [0])[0, 0]
+    assert got == pytest.approx(0.5, abs=1e-15)
 
 
 def test_score_matrix_matches_scalar_scores(rng):
     ds = make_dataset(3, 4, [(0, 0), (1, 1), (2, 3), (0, 2)])
     t = table_of(3, 4, rng.normal(size=(7, 3)))
     cfg = lightgcn_cfg(ds, 2)
-    combined = combined_embeddings(cfg, t)
+    combined = combined_embeddings(cfg, t.weights)
     mat = score_matrix(combined, 3, np.arange(3))
     for u in range(3):
         for i in range(4):
-            assert mat[u, i] == pytest.approx(score(cfg, t, u, i), rel=1e-12)
+            assert mat[u, i] == pytest.approx(float(combined[u] @ combined[3 + i]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +175,7 @@ def batch_of(*triples):
 def test_bpr_loss_zero_table_is_ln2():
     t = table_of(2, 2, np.zeros((4, 2)))
     cfg = BackboneConfig(kind="mf", l2_reg=0.0)
-    loss, grad = bpr_loss_and_grad(cfg, t, None, batch_of((0, 0, 1)))
+    loss, grad = bpr_loss_and_grad(cfg, t, batch_of((0, 0, 1)))
     assert loss == math.log(2.0)
     assert grad.shape == (4, 2)
 
@@ -195,7 +184,7 @@ def test_bpr_loss_known_margin():
     # e_u = (1, 0), e_i = (1, 0), e_j = (0, 0) gives x = 1
     t = table_of(1, 2, [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
     cfg = BackboneConfig(kind="mf", l2_reg=0.0)
-    loss, _ = bpr_loss_and_grad(cfg, t, None, batch_of((0, 0, 1)))
+    loss, _ = bpr_loss_and_grad(cfg, t, batch_of((0, 0, 1)))
     assert loss == pytest.approx(math.log1p(math.exp(-1.0)), abs=1e-15)
     assert loss == pytest.approx(0.3132616875182228, abs=1e-15)
 
@@ -204,9 +193,9 @@ def test_bpr_regularizer_value():
     t = table_of(1, 2, [[1.0, 2.0], [3.0, 0.0], [0.0, 1.0]])
     lam = 0.01
     cfg = BackboneConfig(kind="mf", l2_reg=lam)
-    loss_reg, _ = bpr_loss_and_grad(cfg, t, None, batch_of((0, 0, 1)))
+    loss_reg, _ = bpr_loss_and_grad(cfg, t, batch_of((0, 0, 1)))
     cfg0 = BackboneConfig(kind="mf", l2_reg=0.0)
-    loss0, _ = bpr_loss_and_grad(cfg0, t, None, batch_of((0, 0, 1)))
+    loss0, _ = bpr_loss_and_grad(cfg0, t, batch_of((0, 0, 1)))
     assert loss_reg - loss0 == pytest.approx(lam * (5.0 + 9.0 + 1.0), rel=1e-12)
 
 
@@ -219,34 +208,22 @@ def test_bpr_loss_depends_only_on_score_difference(rng):
     t2 = table_of(2, 3, shifted)
     cfg = BackboneConfig(kind="mf", l2_reg=0.0)
     batch = batch_of((0, 0, 2), (1, 1, 0))
-    loss_a, _ = bpr_loss_and_grad(cfg, t, None, batch)
-    loss_b, _ = bpr_loss_and_grad(cfg, t2, None, batch)
+    loss_a, _ = bpr_loss_and_grad(cfg, t, batch)
+    loss_b, _ = bpr_loss_and_grad(cfg, t2, batch)
     assert loss_a == pytest.approx(loss_b, rel=1e-12)
 
 
-def test_bpr_mask_equals_prezeroed_table(rng):
-    w = rng.normal(size=(6, 4))
-    t = table_of(3, 3, w)
-    mask = init_mask((6, 4), 0.5, rng)
-    zeroed = table_of(3, 3, apply_mask(t, mask))
-    cfg = BackboneConfig(kind="mf", l2_reg=1e-3)
-    batch = batch_of((0, 0, 1), (2, 2, 0))
-    loss_m, grad_m = bpr_loss_and_grad(cfg, t, mask, batch)
-    loss_z, grad_z = bpr_loss_and_grad(cfg, zeroed, None, batch)
-    assert loss_m == loss_z
-    assert np.array_equal(grad_m, grad_z)
-
-
 def test_bpr_gradient_is_dense_over_masked_entries(rng):
-    # masked-out entries of touched rows still get a gradient
+    # masked-out entries are the table's zeros; those of touched rows
+    # still get a gradient, so growth can rank them
     w = rng.normal(size=(4, 3)) + 1.0
+    w[0, 1] = 0.0  # user row
+    w[2, 0] = 0.0  # positive item row
     t = table_of(2, 2, w)
-    bits = np.ones((4, 3), dtype=bool)
-    bits[0, 1] = False
-    mask = SparseMask(bits)
     cfg = BackboneConfig(kind="mf", l2_reg=0.0)
-    _, grad = bpr_loss_and_grad(cfg, t, mask, batch_of((0, 0, 1)))
+    _, grad = bpr_loss_and_grad(cfg, t, batch_of((0, 0, 1)))
     assert grad[0, 1] != 0.0
+    assert grad[2, 0] != 0.0
 
 
 def test_bpr_nonfinite_loss_names_triple():
@@ -255,14 +232,14 @@ def test_bpr_nonfinite_loss_names_triple():
     t = table_of(2, 2, w)
     cfg = BackboneConfig(kind="mf")
     with pytest.raises(FloatingPointError, match=r"\(0, 1, 0\)"):
-        bpr_loss_and_grad(cfg, t, None, batch_of((1, 0, 1), (0, 1, 0)))
+        bpr_loss_and_grad(cfg, t, batch_of((1, 0, 1), (0, 1, 0)))
 
 
 def test_bpr_rejects_empty_batch():
     t = table_of(1, 2, np.zeros((3, 2)))
     cfg = BackboneConfig(kind="mf")
     with pytest.raises(ValueError, match="empty"):
-        bpr_loss_and_grad(cfg, t, None, TrainBatch(np.empty((0, 3), dtype=np.int64)))
+        bpr_loss_and_grad(cfg, t, TrainBatch(np.empty((0, 3), dtype=np.int64)))
 
 
 def add_at_reference_grad(cfg, weights, num_users, batch):
@@ -291,7 +268,7 @@ def test_bpr_gradient_scatter_matches_add_at(rng, kind, layers):
     t = table_of(5, 8, rng.normal(size=(13, 4)))
     cfg = BackboneConfig.for_dataset(kind, layers, ds, l2_reg=1e-2)
     batch = batch_of((0, 0, 2), (1, 1, 3), (2, 3, 0), (0, 0, 2), (3, 4, 5), (0, 1, 4))
-    _, grad = bpr_loss_and_grad(cfg, t, None, batch)
+    _, grad = bpr_loss_and_grad(cfg, t, batch)
     want = add_at_reference_grad(cfg, t.weights, 5, batch)
     assert np.allclose(grad, want, rtol=0.0, atol=1e-12)
     if kind == "mf":
@@ -308,9 +285,9 @@ def numeric_grad(cfg, table, batch, h=1e-6):
     for pos in range(w.size):
         orig = w.flat[pos]
         w.flat[pos] = orig + h
-        lp, _ = bpr_loss_and_grad(cfg, table, None, batch)
+        lp, _ = bpr_loss_and_grad(cfg, table, batch)
         w.flat[pos] = orig - h
-        lm, _ = bpr_loss_and_grad(cfg, table, None, batch)
+        lm, _ = bpr_loss_and_grad(cfg, table, batch)
         w.flat[pos] = orig
         out.flat[pos] = (lp - lm) / (2.0 * h)
     return out
@@ -322,7 +299,7 @@ def test_bpr_gradient_matches_finite_differences(rng, kind, layers):
     t = table_of(3, 4, rng.normal(size=(7, 4)))
     cfg = BackboneConfig.for_dataset(kind, layers, ds, l2_reg=1e-2)
     batch = batch_of((0, 0, 2), (1, 1, 3), (2, 3, 0))
-    _, grad = bpr_loss_and_grad(cfg, t, None, batch)
+    _, grad = bpr_loss_and_grad(cfg, t, batch)
     num = numeric_grad(cfg, t, batch)
     denom = np.maximum(np.abs(num), 1e-8)
     assert np.max(np.abs(grad - num) / denom) < 1e-5

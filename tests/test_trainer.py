@@ -18,6 +18,7 @@ from sparsecf import (
     memory_bytes,
     one_shot_magnitude_prune,
     sample_batch,
+    target_active_count,
     train,
 )
 from sparsecf.trainer import METRICS_COLUMNS, config_digest, write_csv
@@ -111,7 +112,7 @@ def test_dense_training_matches_unmasked_reference(small_split):
     losses = []
     for t in range(1, cfg.t_end + 1):
         batch = sample_batch(ds, cfg.batch_size, batch_rng)
-        loss, grad = bpr_loss_and_grad(bb, table, None, batch)
+        loss, grad = bpr_loss_and_grad(bb, table, batch)
         masked_step(table, grad, ones, opt)
         losses.append((t, loss))
 
@@ -138,23 +139,28 @@ def test_seed_changes_the_run(small_split):
 # mask dynamics
 
 
-def test_budget_constant_at_every_snapshot(small_split):
-    cfg = quick_cfg(eval_every=5)
-    target = None
+@pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+@pytest.mark.parametrize("method", ["dsl", "rp", "omp"])
+def test_budget_constant_at_every_snapshot(small_split, method, backbone):
+    # the loss and the evaluation read the table as stored, so inactive
+    # entries must be exactly zero at every snapshot
+    cfg = quick_cfg(method=method, backbone=backbone, num_layers=2, eval_every=5,
+                    fine_tune_iters=30)
+    total = (small_split.num_users + small_split.num_items) * cfg.dim
+    target = target_active_count(total, cfg.sparsity)
     seen = []
 
     def hook(t, table, mask):
         seen.append(t)
-        assert mask.active_count == target[0]
+        # omp trains dense for its first t_end iterations
+        want = total if method == "omp" and t <= cfg.t_end else target
+        assert mask.active_count == want
         assert np.all(table.weights[~mask.bits] == 0.0)
 
-    from sparsecf import target_active_count
-
-    total = (small_split.num_users + small_split.num_items) * cfg.dim
-    target = [target_active_count(total, cfg.sparsity)]
     art = train(cfg, small_split, snapshot_hook=hook)
-    assert seen and seen[-1] == cfg.t_end
-    assert art.mask.active_count == target[0]
+    last = cfg.t_end + (cfg.fine_tune_iters if method == "omp" else 0)
+    assert seen and seen[-1] == last
+    assert art.mask.active_count == target
 
 
 def test_exploration_events_fire_on_schedule(small_split):
@@ -215,9 +221,7 @@ def test_cost_report_consistent_with_mac_model(small_split):
                          exploration_iterations=len(art.events))
     assert art.cost.macs_train == pytest.approx(want, rel=1e-12)
     assert art.cost.macs_infer == art.metrics[-1]["macs_infer"]
-    assert art.cost.memory_bytes == memory_bytes(
-        art.mask.active_count, art.mask.total, cfg.bytes_per_weight
-    )
+    assert art.cost.memory_bytes == memory_bytes(art.mask.active_count, art.mask.total)
 
 
 def test_run_dir_contents(tmp_path, small_split):
