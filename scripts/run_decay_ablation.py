@@ -20,8 +20,10 @@ from sparsecf import (
     split_holdout,
     train,
 )
+from sparsecf.trainer import write_csv
 
 DECAYS = ("cosine", "linear", "none")
+COLUMNS = ("decay", "seed_count", "recall_mean", "recall_std", "ndcg_mean", "ndcg_std")
 
 
 def parse_args():
@@ -47,7 +49,7 @@ def main():
         overrides = dict(dim=64, delta_t=250, t_end=3000, batch_size=1024)
     split = split_holdout(ds, 0.2, seed=23)
 
-    lines = ["decay,seed_count,recall_mean,recall_std,ndcg_mean,ndcg_std"]
+    rows = []
     print(f"{'decay':<8} {'recall@20':>18} {'ndcg@20':>18}")
     first_mask = {}
     for decay in DECAYS:
@@ -61,10 +63,12 @@ def main():
             ndcgs.append(art.final_metrics["ndcg"])
             first_mask.setdefault(decay, art.mask)
         r, n = np.asarray(recalls), np.asarray(ndcgs)
-        lines.append(f"{decay},{len(r)},{r.mean()!r},{r.std()!r},{n.mean()!r},{n.std()!r}")
+        rows.append({"decay": decay, "seed_count": len(r),
+                     "recall_mean": float(r.mean()), "recall_std": float(r.std()),
+                     "ndcg_mean": float(n.mean()), "ndcg_std": float(n.std())})
         print(f"{decay:<8} {r.mean():>9.4f} ± {r.std():.4f} {n.mean():>9.4f} ± {n.std():.4f}")
 
-    (args.out / "decay_ablation.csv").write_text("\n".join(lines) + "\n")
+    write_csv(args.out / "decay_ablation.csv", COLUMNS, rows)
     print(f"\nwrote {args.out / 'decay_ablation.csv'}")
 
     print("\nitem-side popularity/sparsity correlation of the first seed's mask:")

@@ -63,9 +63,10 @@ class SweepSpec:
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        base = RunConfig(**payload.get("base", {}))
+        base = payload.get("base", {})
+        _check_config_keys(base, path)
         return cls(
-            base=base,
+            base=RunConfig(**base),
             sparsities=payload["sparsities"],
             methods=payload["methods"],
             seeds=payload["seeds"],
@@ -80,6 +81,13 @@ class SweepSpec:
         ]
 
 
+def _check_config_keys(values: dict, path) -> None:
+    """Reject a config dict read from path that names a key RunConfig lacks."""
+    unknown = set(values) - {f.name for f in fields(RunConfig)}
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+
+
 def _flag_fields() -> list:
     """The RunConfig fields that have a --flag; --data sets data_dir."""
     return [f for f in fields(RunConfig) if f.name != "data_dir"]
@@ -88,11 +96,8 @@ def _flag_fields() -> list:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     for f in _flag_fields():
         flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            p.add_argument(flag, action="store_true", default=None, help=f"set config {f.name}")
-        else:
-            typ = _FLAG_TYPES[f.type.removesuffix(" | None")]
-            p.add_argument(flag, type=typ, default=None, help=f"override config {f.name}")
+        typ = _FLAG_TYPES[f.type.removesuffix(" | None")]
+        p.add_argument(flag, type=typ, default=None, help=f"override config {f.name}")
 
 
 def _resolve_config(args) -> RunConfig:
@@ -100,10 +105,7 @@ def _resolve_config(args) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(file_cfg) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _check_config_keys(file_cfg, args.config)
         values.update(file_cfg)
     for f in _flag_fields():
         flag_val = getattr(args, f.name, None)

@@ -214,6 +214,13 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, SparseMask]:
     fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: unrecognized checkpoint format {fmt!r}")
+    for key in ("num_users", "num_items", "dim"):
+        value = header.get(key)
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{path}: checkpoint header {key} must be a positive integer, "
+                             f"got {value!r}")
+    if "sparsity" not in header:
+        raise ValueError(f"{path}: checkpoint header has no sparsity")
     num_users, num_items, dim = header["num_users"], header["num_items"], header["dim"]
     shape = (num_users + num_items, dim)
     total = shape[0] * shape[1]

@@ -88,13 +88,13 @@ class ExplorationEvent:
     def count(self) -> int:
         return len(self.pruned_positions)
 
-    def log_entry(self, verbose: bool = False) -> dict:
-        """JSON-ready record; counts by default, position lists if verbose."""
+    def log_entry(self) -> dict:
+        """JSON-ready record of the event, with counts of moved positions."""
         return {
             "t": self.t,
             "rho_t": self.rho_t,
-            "pruned": self.pruned_positions.tolist() if verbose else self.count,
-            "grown": self.grown_positions.tolist() if verbose else len(self.grown_positions),
+            "pruned": self.count,
+            "grown": len(self.grown_positions),
             "sparsity_after": self.sparsity_after,
         }
 

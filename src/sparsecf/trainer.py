@@ -1,11 +1,12 @@
 """Training orchestration: sparse learning steps, mask exploration, logging.
 
 Every method is a short list of phases run by _run_phase: dense, rp and
-dsl run one phase of exactly t_end iterations; omp runs a dense phase (or
-loads a dense table), prunes it once by magnitude and fine-tunes. Under
-the dynamic method, iterations that land on the exploration interval
-update the mask instead of the weights; all other iterations sample a
-batch, take the ranking gradient and apply a masked optimizer step.
+dsl run one phase of exactly t_end iterations; omp runs a dense phase of
+t_end iterations, prunes it once by magnitude and fine-tunes for another
+t_end. Under the dynamic method, iterations that land on the exploration
+interval update the mask instead of the weights; all other iterations
+sample a batch, take the ranking gradient and apply a masked optimizer
+step.
 Everything a run writes (metrics.csv, exploration.jsonl, checkpoints,
 config.json, split_manifest.json, complete.json) is byte-deterministic
 given the config and seed.
@@ -29,7 +30,6 @@ from .embeddings import (
     SparseMask,
     init_mask,
     init_table,
-    load_checkpoint,
     masked_step,
     save_checkpoint,
     zero_inactive,
@@ -91,10 +91,6 @@ class RunConfig:
     eval_every: int | None = None  # defaults to delta_t
     eval_k: int = 20
     seed: int = 0
-    init_scale: float = 0.01
-    fine_tune_iters: int | None = None  # omp only; defaults to t_end
-    dense_checkpoint: str | None = None  # omp: reuse an existing dense table
-    log_positions: bool = False
     data_dir: str | None = None
     run_id: str | None = None
 
@@ -103,12 +99,11 @@ class RunConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError(f"sparsity must be in [0, 1), got {self.sparsity}")
-        if self.t_end < 1:
-            raise ValueError(f"t_end must be >= 1, got {self.t_end}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_every is not None and self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        self.schedule()  # checks rho0, delta_t, t_end and decay, for every method
 
     @property
     def effective_sparsity(self) -> float:
@@ -123,10 +118,6 @@ class RunConfig:
         out = asdict(self)
         out["run_id"] = self.resolve_run_id()
         out["eval_every"] = self.eval_every if self.eval_every is not None else self.delta_t
-        if self.method == "omp":
-            out["fine_tune_iters"] = (
-                self.fine_tune_iters if self.fine_tune_iters is not None else self.t_end
-            )
         return out
 
     def resolve_run_id(self) -> str:
@@ -193,7 +184,7 @@ def _write_run_dir(out_dir, art: RunArtifacts, ds: InteractionDataset, cfg: RunC
     write_csv(out / "metrics.csv", METRICS_COLUMNS, art.metrics)
     with (out / "exploration.jsonl").open("w", encoding="utf-8") as fh:
         for ev in art.events:
-            fh.write(json.dumps(ev.log_entry(cfg.log_positions), sort_keys=True) + "\n")
+            fh.write(json.dumps(ev.log_entry(), sort_keys=True) + "\n")
     save_checkpoint(out / "checkpoint.final", art.table, art.mask)
     manifest = {
         "num_users": ds.num_users,
@@ -219,32 +210,16 @@ def _dense_mask(table: EmbeddingTable) -> SparseMask:
     return SparseMask(np.ones_like(table.weights, dtype=bool), target_sparsity=0.0)
 
 
-def _load_dense_table(cfg: RunConfig, ds: InteractionDataset) -> EmbeddingTable:
-    path = cfg.dense_checkpoint
-    table, mask = load_checkpoint(path)
-    if (table.num_users, table.num_items, table.dim) != (ds.num_users, ds.num_items, cfg.dim):
-        raise ValueError(f"dense checkpoint {path} shape does not match dataset/config")
-    if not mask.bits.all():
-        raise ValueError(
-            f"dense checkpoint {path} has {mask.total - mask.active_count} inactive entries"
-        )
-    return table
-
-
-def _phases(cfg: RunConfig, resolved: dict) -> list:
+def _phases(cfg: RunConfig) -> list:
     """(t_start, iterations, starting mask, explore) of each phase of a run.
 
     The starting mask is "dense", "random" (init_mask) or "magnitude" (a
-    one-shot prune of the table the phase starts from). omp with a
-    dense_checkpoint skips its dense phase.
+    one-shot prune of the table the phase starts from).
     """
     if cfg.method != "omp":
         start = "dense" if cfg.method == "dense" else "random"
         return [(0, cfg.t_end, start, cfg.method == "dsl")]
-    fine_tune = (cfg.t_end, resolved["fine_tune_iters"], "magnitude", False)
-    if cfg.dense_checkpoint is not None:
-        return [fine_tune]
-    return [(0, cfg.t_end, "dense", False), fine_tune]
+    return [(0, cfg.t_end, "dense", False), (cfg.t_end, cfg.t_end, "magnitude", False)]
 
 
 class _RunState:
@@ -356,22 +331,16 @@ def train(
     """Run one training job end to end and return its artifacts.
 
     Runs the phases of cfg.method in turn; metric rows and costs
-    accumulate across them. omp loads cfg.dense_checkpoint instead of
-    training its dense phase when one is given, and charges it at t_end
-    dense iterations. Writes the run directory when out_dir is given,
-    also when the run aborts. Deterministic given cfg and seed.
+    accumulate across them. Writes the run directory when out_dir is
+    given, also when the run aborts. Deterministic given cfg and seed.
     """
     state = _RunState(cfg, ds)
     resolved = cfg.resolved()
-    if cfg.method == "omp" and cfg.dense_checkpoint is not None:
-        table = _load_dense_table(cfg, ds)
-        state.macs_cum += macs_training(state.fwd, cfg.t_end, 0.0)
-    else:
-        table = init_table(ds.num_users, ds.num_items, cfg.dim, state.table_rng, cfg.init_scale)
+    table = init_table(ds.num_users, ds.num_items, cfg.dim, state.table_rng)
     art = RunArtifacts(resolved["run_id"], resolved, table, _dense_mask(table))
     abort = None
     try:
-        for t_start, iterations, start, explore in _phases(cfg, resolved):
+        for t_start, iterations, start, explore in _phases(cfg):
             if start == "magnitude" and out_dir is not None:
                 # omp keeps the dense table it prunes
                 Path(out_dir).mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from sparsecf.cli import main
+from sparsecf.cli import SweepSpec, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,12 @@ def test_train_rejects_unknown_config_key(data_dir, tmp_path, capsys):
                "--config", str(cfg_file)])
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_train_rejects_bad_exploration_fields_for_every_method(data_dir, tmp_path, capsys):
+    rc = run_train(data_dir, tmp_path / "r", "--method", "rp", "--delta-t", "0")
+    assert rc == 2
+    assert "delta_t" in capsys.readouterr().err
 
 
 def test_train_warns_when_dense_gets_sparsity(data_dir, tmp_path, capsys):
@@ -249,6 +258,24 @@ def test_sweep_needs_data_location(data_dir, tmp_path, capsys):
     rc = main(["sweep", str(spec), "--out", str(tmp_path / "sweep")])
     assert rc == 2
     assert "needs a data dir" in capsys.readouterr().err
+
+
+def test_sweep_rejects_unknown_base_key(data_dir, tmp_path, capsys):
+    spec = sweep_spec(tmp_path, data_dir)
+    payload = json.loads(spec.read_text())
+    payload["base"]["fine_tune_iters"] = 5
+    spec.write_text(json.dumps(payload))
+    rc = main(["sweep", str(spec), "--out", str(tmp_path / "sweep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys: ['fine_tune_iters']" in err
+    assert str(spec) in err
+
+
+def test_committed_sweep_specs_load():
+    for name in ("method_comparison.json", "method_comparison_quick.json"):
+        spec = SweepSpec.from_file(ROOT / "scripts" / name)
+        assert len(spec.cells()) == 3 * 4 * 5
 
 
 # ---------------------------------------------------------------------------

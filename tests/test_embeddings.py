@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,9 +233,24 @@ def test_checkpoint_bytes_deterministic(tmp_path, rng):
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):
-    (tmp_path / "bad").write_text('{"format": "other", "active": []}')
+    path = tmp_path / "bad"
+    path.write_text('{"format": "other", "active": []}')
     with pytest.raises(ValueError, match="format"):
-        load_checkpoint(tmp_path / "bad")
+        load_checkpoint(path)
+    # a header field missing or out of range fails naming the file
+    good = {"format": "sparse-embedding-v2", "num_users": 2, "num_items": 3, "dim": 4,
+            "sparsity": 0.5}
+    for key, value in (("num_users", None), ("num_users", -3), ("num_items", 0),
+                       ("dim", 2.0), ("dim", "4"), ("dim", True), ("sparsity", None)):
+        header = dict(good)
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(20))
+        with pytest.raises(ValueError, match=key) as exc_info:
+            load_checkpoint(path)
+        assert str(path) in str(exc_info.value)
 
 
 def test_checkpoint_size_is_modelled_memory_plus_header(tmp_path, rng):

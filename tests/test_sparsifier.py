@@ -267,8 +267,8 @@ def test_event_log_entry_counts_and_positions():
     from sparsecf import ExplorationEvent
 
     ev = ExplorationEvent(10, 0.25, ev_pruned, ev_grown, 0.5)
+    # the log holds counts; the positions stay on the event, in memory
     assert ev.log_entry() == {"t": 10, "rho_t": 0.25, "pruned": 2, "grown": 2,
                               "sparsity_after": 0.5}
-    verbose = ev.log_entry(verbose=True)
-    assert verbose["pruned"] == [1, 5]
-    assert verbose["grown"] == [2, 7]
+    assert ev.pruned_positions.tolist() == [1, 5]
+    assert ev.grown_positions.tolist() == [2, 7]

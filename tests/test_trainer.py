@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -56,6 +57,14 @@ def test_run_config_validation():
         RunConfig(batch_size=0)
     with pytest.raises(ValueError):
         RunConfig(eval_every=0)
+    # the exploration fields are checked for every method, not only dsl
+    for method in ("dsl", "rp", "dense", "omp"):
+        with pytest.raises(ValueError, match="delta_t"):
+            RunConfig(method=method, delta_t=0)
+    with pytest.raises(ValueError, match="decay"):
+        RunConfig(method="rp", decay="bogus")
+    with pytest.raises(ValueError, match="rho0"):
+        RunConfig(method="rp", rho0=5.0)
 
 
 def test_run_id_is_stable_and_descriptive():
@@ -71,8 +80,9 @@ def test_resolved_fills_defaults():
     cfg = quick_cfg(eval_every=None)
     res = cfg.resolved()
     assert res["eval_every"] == cfg.delta_t
-    omp = quick_cfg(method="omp", fine_tune_iters=None)
-    assert omp.resolved()["fine_tune_iters"] == omp.t_end
+    # config.json holds exactly the fields, for every method
+    omp = quick_cfg(method="omp")
+    assert set(omp.resolved()) == {f.name for f in fields(RunConfig)}
 
 
 def test_dense_ignores_sparsity_field():
@@ -104,7 +114,7 @@ def test_dense_training_matches_unmasked_reference(small_split):
     ss = np.random.SeedSequence(cfg.seed)
     table_ss, _, batch_ss = ss.spawn(3)
     table = init_table(ds.num_users, ds.num_items, cfg.dim,
-                       np.random.default_rng(table_ss), cfg.init_scale)
+                       np.random.default_rng(table_ss), 0.01)
     batch_rng = np.random.default_rng(batch_ss)
     bb = BackboneConfig(cfg.backbone, cfg.num_layers, cfg.l2_reg, None)
     ones = SparseMask(np.ones_like(table.weights, dtype=bool))
@@ -144,8 +154,7 @@ def test_seed_changes_the_run(small_split):
 def test_budget_constant_at_every_snapshot(small_split, method, backbone):
     # the loss and the evaluation read the table as stored, so inactive
     # entries must be exactly zero at every snapshot
-    cfg = quick_cfg(method=method, backbone=backbone, num_layers=2, eval_every=5,
-                    fine_tune_iters=30)
+    cfg = quick_cfg(method=method, backbone=backbone, num_layers=2, eval_every=5)
     total = (small_split.num_users + small_split.num_items) * cfg.dim
     target = target_active_count(total, cfg.sparsity)
     seen = []
@@ -158,7 +167,8 @@ def test_budget_constant_at_every_snapshot(small_split, method, backbone):
         assert np.all(table.weights[~mask.bits] == 0.0)
 
     art = train(cfg, small_split, snapshot_hook=hook)
-    last = cfg.t_end + (cfg.fine_tune_iters if method == "omp" else 0)
+    # omp fine-tunes for another t_end iterations
+    last = 2 * cfg.t_end if method == "omp" else cfg.t_end
     assert seen and seen[-1] == last
     assert art.mask.active_count == target
 
@@ -225,7 +235,7 @@ def test_cost_report_consistent_with_mac_model(small_split):
 
 
 def test_run_dir_contents(tmp_path, small_split):
-    cfg = quick_cfg(run_id="rd", eval_every=30, log_positions=True)
+    cfg = quick_cfg(run_id="rd", eval_every=30)
     art = train(cfg, small_split, out_dir=tmp_path / "run")
     out = tmp_path / "run"
     for name in ("config.json", "metrics.csv", "exploration.jsonl",
@@ -238,8 +248,7 @@ def test_run_dir_contents(tmp_path, small_split):
     assert lines[0] == ",".join(METRICS_COLUMNS)
     assert len(lines) == 1 + len(art.metrics)
     events = [json.loads(l) for l in (out / "exploration.jsonl").read_text().splitlines()]
-    assert len(events) == len(art.events)
-    assert all(isinstance(e["pruned"], list) for e in events)
+    assert events == [ev.log_entry() for ev in art.events]
     manifest = json.loads((out / "split_manifest.json").read_text())
     assert manifest["num_users"] == small_split.num_users
     assert manifest["test_edges"] == small_split.num_test
@@ -268,18 +277,18 @@ def test_event_counts_logged_by_default(tmp_path, small_split):
 
 
 def test_omp_prunes_exactly_the_dense_top_magnitudes(tmp_path, small_split):
-    cfg = quick_cfg(method="omp", t_end=40, fine_tune_iters=20, eval_every=20)
+    cfg = quick_cfg(method="omp", t_end=40, eval_every=20)
     art = train(cfg, small_split, out_dir=tmp_path / "omp")
     dense_table, _ = load_checkpoint(tmp_path / "omp" / "checkpoint.dense")
     want = one_shot_magnitude_prune(dense_table, cfg.sparsity)
     assert np.array_equal(art.mask.bits, want.bits)
-    assert [r["iteration"] for r in art.metrics] == [20, 40, 60]
+    assert [r["iteration"] for r in art.metrics] == [20, 40, 60, 80]
     assert art.metrics[0]["sparsity"] == 0.0
     assert art.metrics[-1]["sparsity"] == art.mask.sparsity
 
 
 def test_omp_mask_is_static_during_fine_tune(small_split):
-    cfg = quick_cfg(method="omp", t_end=30, fine_tune_iters=30, eval_every=10)
+    cfg = quick_cfg(method="omp", t_end=30, eval_every=10)
     snaps = []
 
     def hook(t, table, mask):
@@ -295,46 +304,8 @@ def test_omp_mask_is_static_during_fine_tune(small_split):
 
 def test_omp_costs_more_than_its_dense_phase(small_split):
     dense = train(quick_cfg(method="dense", t_end=40), small_split)
-    omp = train(quick_cfg(method="omp", t_end=40, fine_tune_iters=40), small_split)
+    omp = train(quick_cfg(method="omp", t_end=40), small_split)
     assert omp.cost.macs_train > dense.cost.macs_train
-
-
-def test_omp_reuses_dense_checkpoint(tmp_path, small_split):
-    cfg = quick_cfg(method="omp", t_end=30, fine_tune_iters=20)
-    full = train(cfg, small_split, out_dir=tmp_path / "full")
-    reuse_cfg = quick_cfg(
-        method="omp",
-        t_end=30,
-        fine_tune_iters=20,
-        dense_checkpoint=str(tmp_path / "full" / "checkpoint.dense"),
-    )
-    reused = train(reuse_cfg, small_split)
-    # same pruned support and same analytic training cost
-    assert np.array_equal(reused.mask.bits, full.mask.bits)
-    assert reused.cost.macs_train == pytest.approx(full.cost.macs_train, rel=1e-12)
-
-
-def test_omp_rejects_mismatched_checkpoint(tmp_path, small_split):
-    cfg = quick_cfg(method="omp", t_end=10, fine_tune_iters=5)
-    train(cfg, small_split, out_dir=tmp_path / "full")
-    bad = quick_cfg(
-        method="omp",
-        dim=16,
-        t_end=10,
-        fine_tune_iters=5,
-        dense_checkpoint=str(tmp_path / "full" / "checkpoint.dense"),
-    )
-    with pytest.raises(ValueError, match="checkpoint"):
-        train(bad, small_split)
-
-
-def test_omp_rejects_sparse_dense_checkpoint(tmp_path, small_split):
-    train(quick_cfg(method="rp", t_end=10), small_split, out_dir=tmp_path / "rp")
-    path = str(tmp_path / "rp" / "checkpoint.final")
-    cfg = quick_cfg(method="omp", t_end=10, fine_tune_iters=5, dense_checkpoint=path)
-    with pytest.raises(ValueError, match="inactive") as exc_info:
-        train(cfg, small_split)
-    assert path in str(exc_info.value)
 
 
 # ---------------------------------------------------------------------------
