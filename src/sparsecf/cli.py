@@ -30,6 +30,8 @@ SWEEP_COLUMNS = ("method", "sparsity", "seed_count", "recall_mean", "recall_std"
 PROFILE_COLUMNS = ("group_id", "side", "mean_popularity", "mean_sparsity")
 
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
+# RunConfig fields cmd_sweep sets for each cell; a spec's base may not set them
+_CELL_KEYS = ("method", "sparsity", "seed", "data_dir", "run_id")
 
 _dataset_cache: dict = {}
 
@@ -63,8 +65,22 @@ class SweepSpec:
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: a sweep spec must be a JSON object, "
+                             f"got {type(payload).__name__}")
+        for key in ("sparsities", "methods", "seeds"):
+            if key not in payload:
+                raise ValueError(f"{path}: missing key {key!r}")
+            if not isinstance(payload[key], list):
+                raise ValueError(f"{path}: {key!r} must be a list, "
+                                 f"got {type(payload[key]).__name__}")
         base = payload.get("base", {})
+        if not isinstance(base, dict):
+            raise ValueError(f"{path}: 'base' must be an object, got {type(base).__name__}")
         _check_config_keys(base, path)
+        per_cell = sorted(set(base) & set(_CELL_KEYS))
+        if per_cell:
+            raise ValueError(f"{path}: base sets {per_cell}, which the sweep sets for each cell")
         return cls(
             base=RunConfig(**base),
             sparsities=payload["sparsities"],

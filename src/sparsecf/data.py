@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -14,6 +15,13 @@ import numpy as np
 FORMATS = ("pair-lines", "per-user-adjacency")
 
 _HEADER_RE = re.compile(r"#\s*users\s*=\s*(\d+)\s+items\s*=\s*(\d+)\s*$")
+# The characters of a text that numpy's C reader splits into the same lines
+# and fields as the line loop: printable ASCII, tab and newline (read_text has
+# already turned "\r\n" and "\r" into "\n"). str.splitlines also breaks at
+# \v, \f and \x1c-\x1e, which loadtxt takes for spaces.
+_C_READER_CHARS = bytes(range(0x20, 0x7F)) + b"\t\n"
+# A comma at either end of a line's fields: an empty field to the line loop.
+_EDGE_COMMA_RE = re.compile(r"^[ \t]*,|,[ \t]*$", re.MULTILINE)
 
 
 class DataFormatError(ValueError):
@@ -104,21 +112,27 @@ def make_dataset(num_users, num_items, train_edges, test_edges=()) -> Interactio
             raise ValueError(f"{name} user index out of range [0, {num_users})")
         if arr[:, 1].min() < 0 or arr[:, 1].max() >= num_items:
             raise ValueError(f"{name} item index out of range [0, {num_items})")
-    train_keys = train[:, 0] * np.int64(num_items) + train[:, 1]
-    test_keys = test[:, 0] * np.int64(num_items) + test[:, 1]
-    if len(np.unique(train_keys)) != len(train_keys):
+    train_keys = np.sort(train[:, 0] * np.int64(num_items) + train[:, 1])
+    test_keys = np.sort(test[:, 0] * np.int64(num_items) + test[:, 1])
+    if _has_duplicates(train_keys):
         raise ValueError("duplicate (user, item) pair in train split")
-    if len(np.unique(test_keys)) != len(test_keys):
+    if _has_duplicates(test_keys):
         raise ValueError("duplicate (user, item) pair in test split")
-    if np.intersect1d(train_keys, test_keys).size:
-        raise ValueError("train and test splits overlap")
+    if len(train_keys) and len(test_keys):
+        at = np.minimum(np.searchsorted(train_keys, test_keys), len(train_keys) - 1)
+        if (train_keys[at] == test_keys).any():
+            raise ValueError("train and test splits overlap")
     return InteractionDataset(
         num_users=int(num_users),
         num_items=int(num_items),
         train_edges=train,
         test_edges=test,
-        _train_keys=np.sort(train_keys),
+        _train_keys=train_keys,
     )
+
+
+def _has_duplicates(sorted_keys: np.ndarray) -> bool:
+    return bool((sorted_keys[1:] == sorted_keys[:-1]).any())
 
 
 def _parse_index(token: str, where: str, what: str) -> int:
@@ -132,10 +146,22 @@ def _parse_index(token: str, where: str, what: str) -> int:
 
 
 def _parse_edges(path, format: str) -> tuple[np.ndarray, tuple | None]:
-    """(n, 2) edges of an interaction file, and the sizes its header declares."""
+    """(n, 2) edges of an interaction file in file order, and the sizes its
+    header declares.
+
+    The line loop below defines both formats and names the file and line of
+    a bad line. A pair-lines text is first offered to numpy's C reader
+    (_read_pair_lines), whose result is used only where it is exactly what
+    the loop would return; any other text, valid or not, goes through the
+    loop.
+    """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
     text = Path(path).read_text(encoding="utf-8")
+    if format == "pair-lines":
+        read = _read_pair_lines(text)
+        if read is not None:
+            return read
     declared = None
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -162,6 +188,48 @@ def _parse_edges(path, format: str) -> tuple[np.ndarray, tuple | None]:
     return np.asarray(edges, dtype=np.int64).reshape(-1, 2), declared
 
 
+def _read_pair_lines(text: str) -> tuple[np.ndarray, tuple | None] | None:
+    """_parse_edges's result for a pair-lines text, read by np.loadtxt, or
+    None where it could differ from the line loop's.
+
+    It differs on a text with characters outside _C_READER_CHARS, a '#'
+    after a field (loadtxt drops it as a comment), a comma at either end of
+    a line's fields (commas become spaces here), a line without exactly two
+    fields, and a token loadtxt cannot read as int64 or that is negative.
+    """
+    if not text.isascii() or text.encode("ascii").translate(None, _C_READER_CHARS):
+        return None
+    # each line holding a '#' must be a comment line, which may be the header
+    declared = None
+    at = text.find("#")
+    while at >= 0:
+        line_start = text.rfind("\n", 0, at) + 1
+        line_end = text.find("\n", at)
+        line_end = len(text) if line_end < 0 else line_end
+        if text[line_start:at].strip(" \t"):
+            return None
+        m = _HEADER_RE.match(text, at, line_end)
+        if m:
+            declared = (int(m.group(1)), int(m.group(2)))
+        at = text.find("#", line_end)
+    if "," in text:
+        if _EDGE_COMMA_RE.search(text):
+            return None
+        text = text.replace(",", " ")
+    try:
+        with warnings.catch_warnings():
+            # a text with no data lines, such as an empty test split, is legal
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2)
+    except ValueError:
+        return None
+    if not arr.size:
+        return arr.reshape(0, 2), declared
+    if arr.shape[1] != 2 or arr.min() < 0:
+        return None
+    return arr, declared
+
+
 def load_interactions(path, format: str = "pair-lines") -> InteractionDataset:
     """Read an interaction file into a dataset with all edges in train.
 
@@ -172,14 +240,16 @@ def load_interactions(path, format: str = "pair-lines") -> InteractionDataset:
     header, sizes are max index + 1 per side. Duplicate pairs are dropped
     with a warning.
     """
-    arr, declared = _parse_edges(path, format)
+    edges, (num_users, num_items) = _checked_edges(path, *_parse_edges(path, format))
+    return make_dataset(num_users, num_items, edges)
+
+
+def _checked_edges(path, arr: np.ndarray, declared) -> tuple[np.ndarray, tuple]:
+    """Edges of a file checked against its declared sizes, with duplicates
+    dropped (first occurrence kept, file order), and (num_users, num_items):
+    the declared sizes, or max index + 1 per side."""
     if not len(arr):
         raise DataFormatError(f"{path}: no interactions found")
-    return _edges_to_dataset(path, arr, declared)
-
-
-def _edges_to_dataset(path, arr: np.ndarray, declared) -> InteractionDataset:
-    """Check edges against declared sizes, drop duplicates, build a dataset."""
     if declared is not None:
         num_users, num_items = declared
         if arr[:, 0].max() >= num_users:
@@ -194,14 +264,14 @@ def _edges_to_dataset(path, arr: np.ndarray, declared) -> InteractionDataset:
         num_users = int(arr[:, 0].max()) + 1
         num_items = int(arr[:, 1].max()) + 1
     keys = arr[:, 0] * np.int64(num_items) + arr[:, 1]
-    _, first_idx = np.unique(keys, return_index=True)
-    if len(first_idx) != len(arr):
+    if _has_duplicates(np.sort(keys)):
+        _, first_idx = np.unique(keys, return_index=True)
         warnings.warn(
             f"{path}: dropped {len(arr) - len(first_idx)} duplicate interaction(s)",
             stacklevel=3,
         )
         arr = arr[np.sort(first_idx)]
-    return make_dataset(num_users, num_items, arr)
+    return arr, (num_users, num_items)
 
 
 def split_holdout(ds: InteractionDataset, ratio: float, seed: int) -> InteractionDataset:
@@ -305,19 +375,23 @@ def save_dataset(ds: InteractionDataset, out_dir, manifest_extra: dict | None = 
 
 
 def load_dataset(data_dir) -> InteractionDataset:
-    """Load a dataset directory written by save_dataset."""
+    """Load a dataset directory written by save_dataset.
+
+    Each file is parsed and checked once; the index spaces are train.txt's,
+    widened to cover any larger index in test.txt.
+    """
     data_dir = Path(data_dir)
-    train = load_interactions(data_dir / "train.txt")
+    train_path = data_dir / "train.txt"
+    train, (num_users, num_items) = _checked_edges(
+        train_path, *_parse_edges(train_path, "pair-lines")
+    )
     test_path = data_dir / "test.txt"
-    test_edges = np.empty((0, 2), dtype=np.int64)
+    test = np.empty((0, 2), dtype=np.int64)
     if test_path.exists():
         # a test.txt without interaction lines (an empty split) is allowed
         arr, declared = _parse_edges(test_path, "pair-lines")
         if len(arr):
-            test_edges = _edges_to_dataset(test_path, arr, declared).train_edges
-    num_users = train.num_users
-    num_items = train.num_items
-    if test_edges.size:
-        num_users = max(num_users, int(test_edges[:, 0].max()) + 1)
-        num_items = max(num_items, int(test_edges[:, 1].max()) + 1)
-    return make_dataset(num_users, num_items, train.train_edges, test_edges)
+            test, _ = _checked_edges(test_path, arr, declared)
+            num_users = max(num_users, int(test[:, 0].max()) + 1)
+            num_items = max(num_items, int(test[:, 1].max()) + 1)
+    return make_dataset(num_users, num_items, train, test)

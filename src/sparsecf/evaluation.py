@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .data import InteractionDataset
 from .embeddings import EmbeddingTable, SparseMask, apply_mask
@@ -203,5 +202,9 @@ def popularity_sparsity_correlation(profile: SparsityProfile):
     ranks = np.arange(profile.num_groups)
     if np.ptp(sparsities) == 0.0 or np.ptp(profile.mean_popularity) == 0.0:
         return None
+    # imported here, not at the top: importing scipy.stats takes longer and
+    # more memory than the rest of the package, and only this function needs it
+    from scipy.stats import spearmanr
+
     rho = spearmanr(ranks, sparsities).statistic
     return float(rho) if np.isfinite(rho) else None

@@ -272,6 +272,28 @@ def test_sweep_rejects_unknown_base_key(data_dir, tmp_path, capsys):
     assert str(spec) in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda spec: [1, 2], "a sweep spec must be a JSON object, got list"),
+    (lambda spec: {k: v for k, v in spec.items() if k != "sparsities"},
+     "missing key 'sparsities'"),
+    (lambda spec: spec | {"seeds": 0}, "'seeds' must be a list, got int"),
+    (lambda spec: spec | {"methods": "rp"}, "'methods' must be a list, got str"),
+    (lambda spec: spec | {"base": [1]}, "'base' must be an object, got list"),
+    (lambda spec: spec | {"base": spec["base"] | {"seed": 7, "method": "omp"}},
+     "base sets ['method', 'seed'], which the sweep sets for each cell"),
+    (lambda spec: spec | {"base": {"run_id": "same", "data_dir": "elsewhere"}},
+     "base sets ['data_dir', 'run_id'], which the sweep sets for each cell"),
+])
+def test_sweep_rejects_a_malformed_spec(data_dir, tmp_path, capsys, edit, message):
+    spec = sweep_spec(tmp_path, data_dir)
+    spec.write_text(json.dumps(edit(json.loads(spec.read_text()))))
+    rc = main(["sweep", str(spec), "--out", str(tmp_path / "sweep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {spec}: {message}" in err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_committed_sweep_specs_load():
     for name in ("method_comparison.json", "method_comparison_quick.json"):
         spec = SweepSpec.from_file(ROOT / "scripts" / name)

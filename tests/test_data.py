@@ -1,8 +1,11 @@
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsecf import (
@@ -185,10 +188,9 @@ def test_save_load_round_trip(tmp_path, tiny_ds):
     back = load_dataset(tmp_path / "d")
     assert back.num_users == tiny_ds.num_users
     assert back.num_items == tiny_ds.num_items
-    assert np.array_equal(np.sort(back.train_edges, axis=0),
-                          np.sort(tiny_ds.train_edges, axis=0))
-    assert np.array_equal(np.sort(back.test_edges, axis=0),
-                          np.sort(tiny_ds.test_edges, axis=0))
+    assert np.array_equal(back.train_edges, tiny_ds.train_edges)
+    assert np.array_equal(back.test_edges, tiny_ds.test_edges)
+    assert np.array_equal(back._train_keys, tiny_ds._train_keys)
 
 
 def test_save_is_deterministic(tmp_path, tiny_ds):
@@ -212,6 +214,19 @@ def test_load_dataset_keeps_an_empty_test_split(tmp_path):
     assert load_dataset(tmp_path / "d").num_test == 0
 
 
+def test_load_dataset_warns_only_about_duplicates(tmp_path):
+    ds = make_dataset(2, 3, [(0, 0), (1, 2)])
+    save_dataset(ds, tmp_path / "d")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_dataset(tmp_path / "d")
+    train_txt = tmp_path / "d" / "train.txt"
+    train_txt.write_text(train_txt.read_text() + "1 2\n0 0\n")
+    with pytest.warns(UserWarning, match="dropped 2 duplicate"):
+        back = load_dataset(tmp_path / "d")
+    assert np.array_equal(back.train_edges, ds.train_edges)
+
+
 def test_load_dataset_rejects_malformed_test_split(tmp_path, tiny_ds):
     save_dataset(tiny_ds, tmp_path / "d")
     test_txt = tmp_path / "d" / "test.txt"
@@ -220,3 +235,131 @@ def test_load_dataset_rejects_malformed_test_split(tmp_path, tiny_ds):
     with pytest.raises(DataFormatError, match="line 2") as exc_info:
         load_dataset(tmp_path / "d")
     assert "test.txt" in str(exc_info.value)
+
+
+# ---------------------------------------------------------------------------
+# pair-lines reader against the line loop it replaced
+
+
+_REFERENCE_HEADER_RE = re.compile(r"#\s*users\s*=\s*(\d+)\s+items\s*=\s*(\d+)\s*$")
+
+
+def parse_pair_lines_reference(path):
+    """(edges, declared sizes) of a pair-lines file, one line at a time.
+
+    data._parse_edges before it handed pair-lines texts to np.loadtxt,
+    restricted to the pair-lines format.
+    """
+    def parse_index(token, where, what):
+        try:
+            value = int(token)
+        except ValueError:
+            raise DataFormatError(f"{where}: cannot parse {what} index {token!r}") from None
+        if value < 0:
+            raise DataFormatError(f"{where}: negative {what} index {value}")
+        return value
+
+    text = Path(path).read_text(encoding="utf-8")
+    declared = None
+    edges = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _REFERENCE_HEADER_RE.match(line)
+            if m:
+                declared = (int(m.group(1)), int(m.group(2)))
+            continue
+        where = f"{path}: line {line_no}"
+        tokens = re.split(r"[,\s]+", line)
+        if len(tokens) != 2:
+            raise DataFormatError(f"{where}: expected 'user item', got {len(tokens)} fields")
+        u = parse_index(tokens[0], where, "user")
+        i = parse_index(tokens[1], where, "item")
+        edges.append((u, i))
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2), declared
+
+
+_pads = st.sampled_from(["", "", " ", "\t", " \t"])
+_separators = st.sampled_from([" ", "  ", "\t", " \t ", ",", ", ", ",,", " , "])
+# tokens int() reads as a non-negative index; loadtxt refuses the last two
+_indices = st.integers(min_value=0, max_value=3000).map(str) | st.sampled_from(
+    ["-0", "007", "+1", "1_0", "\u0663"])
+_pair_lines = st.builds(lambda a, u, sep, i, b: a + u + sep + i + b,
+                        _pads, _indices, _separators, _indices, _pads)
+_bad_lines = st.one_of(
+    st.builds(lambda lead, line: lead + line, st.sampled_from([",", " ,", "\t,"]), _pair_lines),
+    st.builds(lambda line, tail: line + tail, _pair_lines, st.sampled_from(
+        [",", ", ", " # note", "#", " 5", "\t5,6", "\v2", "\x0c2", "\xa02", "\x002"])),
+    st.builds(lambda lead, u: lead + u, _pads, _indices),
+    st.builds(lambda u, bad: f"{u} {bad}", _indices, st.sampled_from(
+        ["-1", "-7", "x", "1.0", "1e3", "0x1", "", "99999999999999999999", "1\x002"])),
+    # a line break to str.splitlines, a space to loadtxt
+    st.builds(lambda u, sep, i: u + sep + i, _indices,
+              st.sampled_from(["\v", "\x0c", "\x1c", "\x1e"]), _indices),
+    st.sampled_from([",", ",,", " , "]),
+)
+_other_lines = st.sampled_from(["", "   ", "\t", "#", "# a comment", "  # users", "#,,#",
+                                "# users=1 items=2 # no", "\u2028", "\x0c", "# c\x0c3 4"])
+_headers = st.builds(
+    lambda lead, users, gap, items, tail: f"{lead}#{gap}users={users} items={items}{tail}",
+    st.sampled_from(["", " ", "\t"]),
+    st.integers(min_value=0, max_value=4000),
+    st.sampled_from(["", " ", "\t "]),
+    st.integers(min_value=0, max_value=4000),
+    st.sampled_from(["", " ", "\t", " x"]),
+)
+
+
+@st.composite
+def _pair_lines_texts(draw):
+    """Valid pair-lines texts, and texts with one bad line, with 0-2 headers."""
+    lines = draw(st.lists(st.one_of(_pair_lines, _pair_lines, _other_lines), max_size=12))
+    extra = [draw(_headers) for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    if draw(st.booleans()):
+        extra.append(draw(_bad_lines))
+    for line in extra:
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), line)
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except Exception as exc:  # noqa: BLE001  (the exception is the outcome compared)
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_pair_lines_texts())
+@example(text="0 1,\n")
+@example(text=",0 1\n")
+@example(text="0 1 # note\n")
+@example(text="0 -1\n")
+@example(text="0\x0b1\n")
+@example(text="# c\x0c0 1\n")
+def test_pair_lines_reader_matches_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("pairs") / "edges.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got = _outcome(lambda p: data._parse_edges(p, "pair-lines"), path)
+    want = _outcome(parse_pair_lines_reference, path)
+    if isinstance(want[0], np.ndarray):
+        assert isinstance(got[0], np.ndarray), got
+        assert got[0].dtype == want[0].dtype
+        assert got[0].shape == want[0].shape
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+    else:
+        assert got == want
+
+
+def test_saved_files_take_the_c_reader(tmp_path, small_split):
+    save_dataset(small_split, tmp_path / "d")
+    for name, edges in (("train.txt", small_split.train_edges),
+                        ("test.txt", small_split.test_edges)):
+        read = data._read_pair_lines((tmp_path / "d" / name).read_text(encoding="utf-8"))
+        assert read is not None
+        assert np.array_equal(read[0], edges)
+        assert read[1] == (small_split.num_users, small_split.num_items)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +336,18 @@ def test_correlation_undefined_cases():
     assert popularity_sparsity_correlation(prof) is None
     single = sparsity_profile(dense, ds, side="items", num_groups=1)
     assert popularity_sparsity_correlation(single) is None
+
+
+def test_import_does_not_load_scipy_stats():
+    # only popularity_sparsity_correlation needs scipy.stats, whose import
+    # takes longer and more memory than the rest of the package
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sparsecf; assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
