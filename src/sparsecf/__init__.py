@@ -2,7 +2,6 @@
 
 from .data import (
     DataFormatError,
-    InteractionDataset,
     NoValidNegativeError,
     TrainBatch,
     load_dataset,
@@ -25,8 +24,6 @@ from .embeddings import (
     target_active_count,
 )
 from .evaluation import (
-    MetricsReport,
-    SparsityProfile,
     evaluate,
     evaluate_combined,
     popularity_sparsity_correlation,
@@ -40,7 +37,7 @@ from .models import (
     lightgcn_propagate,
     score_matrix,
 )
-from .costs import CostReport, macs_forward_batch, macs_inference, macs_training, memory_bytes
+from .costs import macs_forward_batch, macs_inference, macs_training, memory_bytes
 from .sparsifier import (
     ExplorationEvent,
     ExplorationSchedule,
@@ -51,25 +48,20 @@ from .sparsifier import (
     update_ratio,
 )
 from .synth import generate_interactions
-from .trainer import RunArtifacts, RunConfig, TrainingAborted, train
+from .trainer import RunConfig, TrainingAborted, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BackboneConfig",
-    "CostReport",
     "DataFormatError",
     "EmbeddingTable",
     "ExplorationEvent",
     "ExplorationSchedule",
-    "InteractionDataset",
-    "MetricsReport",
     "NoValidNegativeError",
     "OptimizerState",
-    "RunArtifacts",
     "RunConfig",
     "SparseMask",
-    "SparsityProfile",
     "TrainBatch",
     "TrainingAborted",
     "apply_mask",

@@ -152,7 +152,10 @@ def cmd_prepare(args) -> int:
             return 2
         ds = load_interactions(args.input, format=args.format)
         source = str(args.input)
-    split = split_holdout(ds, args.ratio, args.seed)
+    try:
+        split = split_holdout(ds, args.ratio, args.seed)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     save_dataset(
         split,
         args.out,

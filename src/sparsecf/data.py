@@ -287,7 +287,8 @@ def split_holdout(ds: InteractionDataset, ratio: float, seed: int) -> Interactio
         raise ValueError("dataset already has a test split")
     degrees = ds.train_degrees("users")
     if (degrees == 0).any():
-        raise ValueError("every user must have at least one interaction before splitting")
+        raise ValueError("every user must have at least one interaction before splitting; "
+                         f"user {int(np.argmin(degrees))} has none")
     rng = np.random.default_rng(seed)
     by_user = np.argsort(ds.train_edges[:, 0], kind="stable")
     offsets = np.concatenate([[0], np.cumsum(degrees)])
@@ -352,15 +353,50 @@ def sample_batch(ds: InteractionDataset, batch_size: int, rng: np.random.Generat
     return TrainBatch(np.stack([users, pos, neg], axis=1))
 
 
+def _decimal_widths(values: np.ndarray) -> np.ndarray:
+    """Number of decimal digits of each non-negative integer."""
+    widths = np.ones(len(values), dtype=np.int64)
+    top = values.max(initial=0)
+    power = 10
+    while power <= top:
+        widths += values >= power
+        power *= 10
+    return widths
+
+
+def _format_pairs(edges: np.ndarray) -> bytes:
+    """The pair lines "u i" of non-negative edges, each ended by a newline,
+    as ASCII bytes.
+
+    Each digit position is written for all lines at once, right to left,
+    instead of formatting one pair at a time.
+    """
+    users, items = edges[:, 0], edges[:, 1]
+    user_widths, item_widths = _decimal_widths(users), _decimal_widths(items)
+    ends = np.cumsum(user_widths + item_widths + 2)  # one past each newline
+    buf = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.uint8)
+    buf[ends - 1] = ord("\n")
+    spaces = ends - item_widths - 2
+    buf[spaces] = ord(" ")
+    for values, widths, last in ((users, user_widths, spaces - 1),
+                                 (items, item_widths, ends - 2)):
+        rest = values
+        for p in range(widths.max(initial=0)):
+            rest, digit = np.divmod(rest, 10)
+            has_digit = widths > p
+            buf[last[has_digit] - p] = ord("0") + digit[has_digit]
+    return buf.tobytes()
+
+
 def save_dataset(ds: InteractionDataset, out_dir, manifest_extra: dict | None = None) -> None:
     """Write train.txt/test.txt in pair-lines format plus a JSON manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = f"# users={ds.num_users} items={ds.num_items}\n"
+    header = f"# users={ds.num_users} items={ds.num_items}\n".encode()
     for name, edges in (("train.txt", ds.train_edges), ("test.txt", ds.test_edges)):
-        lines = [header]
-        lines.extend(f"{u} {i}\n" for u, i in edges)
-        (out / name).write_text("".join(lines), encoding="utf-8")
+        with (out / name).open("wb") as fh:
+            fh.write(header)
+            fh.write(_format_pairs(edges))
     manifest = {
         "num_users": ds.num_users,
         "num_items": ds.num_items,

@@ -50,10 +50,21 @@ def init_table(
 
 @dataclass
 class SparseMask:
-    """Binary mask over the embedding table; True marks active entries."""
+    """Binary mask over the embedding table; True marks active entries.
+
+    The mask caches the flat index of its active entries for masked_step:
+    np.flatnonzero(bits), or slice(None) when every entry is active. The
+    bits change only at exploration events, so the index is computed once
+    per event instead of once per step. Only sparsifier.exploration_step
+    may move bits, and it drops the cached index after it does; any other
+    writer of bits would leave masked_step on a stale index.
+    """
 
     bits: np.ndarray  # bool, same shape as the table weights
     target_sparsity: float | None = None
+    _active: np.ndarray | slice | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def active_count(self) -> int:
@@ -66,6 +77,13 @@ class SparseMask:
     @property
     def sparsity(self) -> float:
         return 1.0 - self.active_count / self.total
+
+    def _active_index(self) -> np.ndarray | slice:
+        """Flat index of the active entries; slice(None) if all are active."""
+        if self._active is None:
+            flat = np.flatnonzero(self.bits)
+            self._active = slice(None) if len(flat) == self.bits.size else flat
+        return self._active
 
 
 def target_active_count(total: int, sparsity: float) -> int:
@@ -149,6 +167,11 @@ def masked_step(
     semantics over the active set: every active moment decays on every
     step, also where the gradient is zero.
 
+    The active entries come from the mask's cached flat index (see
+    SparseMask). Under a dense mask the update runs in place on the table
+    and moment buffers; under a sparse one it gathers the active weights
+    and moments once, updates them in place and writes them back once.
+
     Precondition: inactive weights and Adam moments are exactly zero.
     They are left untouched, so they stay zero; the trainer establishes
     this when a phase starts and when exploration prunes or regrows.
@@ -160,24 +183,43 @@ def masked_step(
     if not np.isfinite(grad).all():
         bad = tuple(int(i) for i in np.argwhere(~np.isfinite(grad))[0])
         raise FloatingPointError(f"non-finite gradient at position {bad}")
-    # a dense mask updates everything in place, without gathering
-    idx = slice(None) if mask.active_count == mask.total else np.flatnonzero(mask.bits)
-    weights = table.weights.reshape(-1)
+    idx = mask._active_index()
+    gathered = not isinstance(idx, slice)
+    w_flat = table.weights.reshape(-1)
+    # under a dense mask these are views, and every update below is in place
+    w = w_flat[idx]
     g = grad.reshape(-1)[idx]
     opt.step += 1
     if opt.kind == "sgd":
-        weights[idx] -= opt.lr * g
+        w -= opt.lr * g
+        if gathered:
+            w_flat[idx] = w
         return
     opt._ensure_buffers(table.weights.shape)
     m_flat = opt.m.reshape(-1)
     v_flat = opt.v.reshape(-1)
-    m = opt.beta1 * m_flat[idx] + (1.0 - opt.beta1) * g
-    v = opt.beta2 * v_flat[idx] + (1.0 - opt.beta2) * g * g
-    m_flat[idx] = m
-    v_flat[idx] = v
-    m_hat = m / (1.0 - opt.beta1**opt.step)
-    v_hat = v / (1.0 - opt.beta2**opt.step)
-    weights[idx] -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+    m = m_flat[idx]
+    v = v_flat[idx]
+    # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + ((1 - beta2) * g) * g
+    tmp = np.multiply(1.0 - opt.beta1, g)
+    m *= opt.beta1
+    m += tmp
+    np.multiply(1.0 - opt.beta2, g, out=tmp)
+    tmp *= g
+    v *= opt.beta2
+    v += tmp
+    # w -= (lr * m_hat) / (sqrt(v_hat) + eps)
+    np.divide(v, 1.0 - opt.beta2**opt.step, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += opt.eps
+    update = np.divide(m, 1.0 - opt.beta1**opt.step)
+    update *= opt.lr
+    update /= tmp
+    w -= update
+    if gathered:
+        m_flat[idx] = m
+        v_flat[idx] = v
+        w_flat[idx] = w
 
 
 def save_checkpoint(path, table: EmbeddingTable, mask: SparseMask) -> None:

@@ -8,13 +8,17 @@ and densely over the whole table, which mask growth needs; the LightGCN
 backward pass is transposed propagation of the output gradient (the
 adjacency is symmetric), so no autodiff is involved.
 
-The per-triple gradient rows are scattered into the table with one
-sparse product: an incidence matrix with a 1 at (table row, triple slot)
-for the user, positive and negative row of every triple sums the rows
-that share a table row. MF scatters the ranking and L2 terms together;
-LightGCN propagates the scattered ranking term and then adds the
-scattered L2 term, which acts on the base rows only. The work is one
-pass over the 3 * batch rows plus the output table, with no sort.
+A batch reads the table once: the user, positive and negative rows of
+every triple are gathered in one (3 * batch, dim) block (for LightGCN,
+one block of base rows and one of combined rows), and the three ranking
+blocks of the gradient are written into one preallocated array of the
+same shape, with the L2 term added in place. Those per-slot rows are
+scattered into the table with one sparse product: an incidence matrix
+with a 1 at (table row, slot) sums the rows that share a table row. It
+has one entry per column, so it is built as CSC directly, with no sort.
+MF scatters the ranking and L2 terms together; LightGCN propagates the
+scattered ranking term and then adds the scattered L2 term, which acts
+on the base rows only.
 """
 
 from __future__ import annotations
@@ -121,14 +125,16 @@ def score_matrix(combined: np.ndarray, num_users: int, users: np.ndarray) -> np.
     return combined[np.asarray(users)] @ combined[num_users:].T
 
 
-def _incidence(rows: np.ndarray, num_rows: int) -> sp.csr_matrix:
+def _incidence(rows: np.ndarray, num_rows: int) -> sp.csc_matrix:
     """(num_rows, len(rows)) matrix with a 1 at (rows[k], k).
 
     inc @ vals sums the rows of vals into the table rows they belong to,
-    repeated indices included, in the order they appear in rows.
+    repeated indices included, in the order they appear in rows. Column k
+    holds its one entry at rows[k], so the matrix is built as CSC
+    directly, without the sort a COO to CSR conversion makes.
     """
     n = len(rows)
-    return sp.csr_matrix((np.ones(n), (rows, np.arange(n))), shape=(num_rows, n))
+    return sp.csc_matrix((np.ones(n), rows, np.arange(n + 1)), shape=(num_rows, n))
 
 
 def bpr_loss_and_grad(cfg: BackboneConfig, table: EmbeddingTable, batch: TrainBatch) -> tuple:
@@ -145,23 +151,24 @@ def bpr_loss_and_grad(cfg: BackboneConfig, table: EmbeddingTable, batch: TrainBa
         raise ValueError("batch is empty")
     weights = table.weights
     num_users = table.num_users
-    users = batch.users
-    pos = batch.pos_items + num_users
-    neg = batch.neg_items + num_users
     b = len(batch)
+    rows = np.concatenate([batch.users, batch.pos_items + num_users,
+                           batch.neg_items + num_users])
+    # base (and for LightGCN combined) rows of users, positives, negatives
+    base = weights[rows]
     combined = combined_embeddings(cfg, weights)
-    e_u = combined[users]
-    e_i = combined[pos]
-    e_j = combined[neg]
-    x = np.einsum("bd,bd->b", e_u, e_i - e_j)
+    emb = combined[rows] if cfg.propagates() else base
+    e_u, e_i, e_j = emb[:b], emb[b:2 * b], emb[2 * b:]
+    base_u, base_i, base_j = base[:b], base[b:2 * b], base[2 * b:]
+    # the per-slot gradient rows; its first block starts as e_i - e_j
+    vals = np.empty_like(base)
+    diff = np.subtract(e_i, e_j, out=vals[:b])
+    x = np.einsum("bd,bd->b", e_u, diff)
     # softplus(-x) = -ln sigma(x), stable for large |x|; non-finite inputs
     # are reported through the explicit check below, not as warnings
     with np.errstate(invalid="ignore", over="ignore"):
         rank_terms = np.logaddexp(0.0, -x)
 
-    base_u = weights[users]
-    base_i = weights[pos]
-    base_j = weights[neg]
     reg_terms = cfg.l2_reg * (
         np.einsum("bd,bd->b", base_u, base_u)
         + np.einsum("bd,bd->b", base_i, base_i)
@@ -177,13 +184,17 @@ def bpr_loss_and_grad(cfg: BackboneConfig, table: EmbeddingTable, batch: TrainBa
     loss = float(per_triple.mean())
 
     coeff = (-expit(-x) / b)[:, None]
-    inc = _incidence(np.concatenate([users, pos, neg]), len(weights))
-    rank_vals = np.concatenate([coeff * (e_i - e_j), coeff * e_u, -coeff * e_u])
-    reg_vals = (2.0 * cfg.l2_reg / b) * np.concatenate([base_u, base_i, base_j])
+    diff *= coeff
+    np.multiply(coeff, e_u, out=vals[b:2 * b])
+    np.multiply(-coeff, e_u, out=vals[2 * b:])
+    # the L2 term, scaled in place: base (for MF also emb) is not read again
+    base *= 2.0 * cfg.l2_reg / b
+    inc = _incidence(rows, len(weights))
     if cfg.propagates():
         # the adjacency is symmetric, so the adjoint of propagation is
         # propagation applied to the output gradient
-        grad = lightgcn_propagate(cfg, inc @ rank_vals)
-        grad += inc @ reg_vals
+        grad = lightgcn_propagate(cfg, inc @ vals)
+        grad += inc @ base
         return loss, grad
-    return loss, inc @ (rank_vals + reg_vals)
+    vals += base
+    return loss, inc @ vals

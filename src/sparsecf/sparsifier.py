@@ -153,7 +153,9 @@ def exploration_step(
     inactive positions outside the just-pruned set. Grown entries start
     at zero with fresh optimizer moments, and the moments of pruned
     entries are cleared, so every inactive weight and moment is zero
-    afterwards. The active count is identical before and after.
+    afterwards. The active count is identical before and after. This is
+    the only function that moves mask bits; it drops the mask's cached
+    active index (see embeddings.SparseMask).
     """
     rho_t = update_ratio(sched, t)
     active_before = mask.active_count
@@ -169,6 +171,8 @@ def exploration_step(
     grown = select_grow(grad, mask, len(pruned), exclude=pruned)
     flat_bits[grown] = True
     flat_w[grown] = 0.0
+    # the bits moved, so masked_step must recompute the active index
+    mask._active = None
     if opt is not None:
         opt.reset_positions(np.concatenate([pruned, grown]))
     assert mask.active_count == active_before, "mask update changed the budget"

@@ -75,6 +75,16 @@ def test_prepare_rejects_malformed_input(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_prepare_names_file_and_user_without_interactions(tmp_path, capsys):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("# users=3 items=2\n0 0\n0 1\n1 0\n")
+    rc = main(["prepare", "--input", str(raw), "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(raw) in err
+    assert "user 2 has none" in err
+
+
 # ---------------------------------------------------------------------------
 # train
 

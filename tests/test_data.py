@@ -200,6 +200,28 @@ def test_save_is_deterministic(tmp_path, tiny_ds):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 12_345_678), st.integers(0, 1_000_001)),
+        max_size=40, unique=True,
+    ),
+)
+@example(edges=[])
+@example(edges=[(0, 0), (9, 10), (10, 99), (100, 1000)])
+def test_save_writes_one_formatted_line_per_pair(tmp_path_factory, edges):
+    arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    num_users = int(arr[:, 0].max(initial=0)) + 1
+    num_items = int(arr[:, 1].max(initial=0)) + 1
+    ds = make_dataset(num_users, num_items, arr)
+    out = tmp_path_factory.mktemp("saved")
+    save_dataset(ds, out)
+    header = f"# users={num_users} items={num_items}\n"
+    want = header + "".join(f"{u} {i}\n" for u, i in edges)
+    assert (out / "train.txt").read_bytes() == want.encode()
+    assert (out / "test.txt").read_bytes() == header.encode()
+
+
 def test_sample_batch_fallback_takes_lowest_free_item(monkeypatch):
     monkeypatch.setattr(data, "_MAX_REJECTION_ROUNDS", 0)
     ds = make_dataset(3, 5, [(0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])

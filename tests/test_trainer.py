@@ -3,14 +3,23 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from sparsecf import (
     BackboneConfig,
+    EmbeddingTable,
+    ExplorationSchedule,
     OptimizerState,
     RunConfig,
     SparseMask,
     TrainingAborted,
     bpr_loss_and_grad,
+    combined_embeddings,
+    exploration_step,
+    init_mask,
     init_table,
     load_checkpoint,
     macs_forward_batch,
@@ -22,6 +31,9 @@ from sparsecf import (
     target_active_count,
     train,
 )
+from sparsecf.embeddings import zero_inactive
+from sparsecf.models import lightgcn_propagate
+from sparsecf.sparsifier import is_exploration_iteration
 from sparsecf.trainer import METRICS_COLUMNS, config_digest, write_csv
 
 
@@ -329,3 +341,123 @@ def test_diverging_run_aborts_and_keeps_artifacts(tmp_path, small_split):
     assert lines[0] == ",".join(METRICS_COLUMNS)
     # rows logged before the abort are retained
     assert len(lines) - 1 == len(err.artifacts.metrics)
+
+
+# ---------------------------------------------------------------------------
+# learning step against the reference
+
+
+def bpr_loss_and_grad_reference(cfg, table, batch):
+    """BPR loss and dense gradient as computed before the step gathered each
+    row once: separate gathers per block, two concatenations and a CSR
+    incidence matrix built from COO."""
+    weights = table.weights
+    num_users = table.num_users
+    users = batch.users
+    pos = batch.pos_items + num_users
+    neg = batch.neg_items + num_users
+    b = len(batch)
+    combined = combined_embeddings(cfg, weights)
+    e_u = combined[users]
+    e_i = combined[pos]
+    e_j = combined[neg]
+    x = np.einsum("bd,bd->b", e_u, e_i - e_j)
+    rank_terms = np.logaddexp(0.0, -x)
+    base_u = weights[users]
+    base_i = weights[pos]
+    base_j = weights[neg]
+    reg_terms = cfg.l2_reg * (
+        np.einsum("bd,bd->b", base_u, base_u)
+        + np.einsum("bd,bd->b", base_i, base_i)
+        + np.einsum("bd,bd->b", base_j, base_j)
+    )
+    loss = float((rank_terms + reg_terms).mean())
+    coeff = (-expit(-x) / b)[:, None]
+    rows = np.concatenate([users, pos, neg])
+    n = len(rows)
+    inc = sp.csr_matrix((np.ones(n), (rows, np.arange(n))), shape=(len(weights), n))
+    rank_vals = np.concatenate([coeff * (e_i - e_j), coeff * e_u, -coeff * e_u])
+    reg_vals = (2.0 * cfg.l2_reg / b) * np.concatenate([base_u, base_i, base_j])
+    if cfg.propagates():
+        grad = lightgcn_propagate(cfg, inc @ rank_vals)
+        grad += inc @ reg_vals
+        return loss, grad
+    return loss, inc @ (rank_vals + reg_vals)
+
+
+def masked_step_reference(table, grad, mask, opt):
+    """One optimizer update as computed before the mask cached its active
+    index: the index is recomputed from the bits, and Adam runs out of place."""
+    idx = slice(None) if mask.active_count == mask.total else np.flatnonzero(mask.bits)
+    weights = table.weights.reshape(-1)
+    g = grad.reshape(-1)[idx]
+    opt.step += 1
+    if opt.kind == "sgd":
+        weights[idx] -= opt.lr * g
+        return
+    opt._ensure_buffers(table.weights.shape)
+    m_flat = opt.m.reshape(-1)
+    v_flat = opt.v.reshape(-1)
+    m = opt.beta1 * m_flat[idx] + (1.0 - opt.beta1) * g
+    v = opt.beta2 * v_flat[idx] + (1.0 - opt.beta2) * g * g
+    m_flat[idx] = m
+    v_flat[idx] = v
+    m_hat = m / (1.0 - opt.beta1**opt.step)
+    v_hat = v / (1.0 - opt.beta2**opt.step)
+    weights[idx] -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+def same_bits(a, b):
+    """Bitwise equality, which also tells 0.0 from -0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    backbone=st.sampled_from(["mf", "lightgcn"]),
+    optimizer=st.sampled_from(["adam", "sgd"]),
+    sparsity=st.sampled_from([0.0, 0.5, 0.8]),
+    delta_t=st.integers(1, 4),
+    steps=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_learning_step_matches_reference(small_split, backbone, optimizer, sparsity,
+                                         delta_t, steps, seed):
+    ds = small_split
+    rng = np.random.default_rng(seed)
+    layers = 2 if backbone == "lightgcn" else 0
+    bb = BackboneConfig.for_dataset(backbone, layers, ds, l2_reg=1e-2)
+    table = init_table(ds.num_users, ds.num_items, 8, rng, scale=0.1)
+    if sparsity:
+        mask = init_mask(table.weights.shape, sparsity, rng)
+        zero_inactive(table, mask)
+    else:
+        mask = SparseMask(np.ones_like(table.weights, dtype=bool))
+    lr = 0.05 if optimizer == "adam" else 5.0
+    ref_table = EmbeddingTable(table.num_users, table.num_items, table.dim,
+                               table.weights.copy())
+    ref_mask = SparseMask(mask.bits.copy())
+    opt, ref_opt = OptimizerState(optimizer, lr), OptimizerState(optimizer, lr)
+    sched = ExplorationSchedule(rho0=0.3, delta_t=delta_t, t_end=steps + 1, decay="none")
+    for t in range(1, steps + 1):
+        batch = sample_batch(ds, 64, rng)
+        if sparsity and is_exploration_iteration(sched, t):
+            event = exploration_step(table, mask, opt, sched, t,
+                                     lambda: bpr_loss_and_grad(bb, table, batch)[1])
+            ref_event = exploration_step(
+                ref_table, ref_mask, ref_opt, sched, t,
+                lambda: bpr_loss_and_grad_reference(bb, ref_table, batch)[1])
+            assert event.count > 0
+            assert np.array_equal(event.grown_positions, ref_event.grown_positions)
+            assert np.array_equal(mask.bits, ref_mask.bits)
+        else:
+            loss, grad = bpr_loss_and_grad(bb, table, batch)
+            ref_loss, ref_grad = bpr_loss_and_grad_reference(bb, ref_table, batch)
+            assert loss == ref_loss
+            assert same_bits(grad, ref_grad)
+            masked_step(table, grad, mask, opt)
+            masked_step_reference(ref_table, ref_grad, ref_mask, ref_opt)
+        assert same_bits(table.weights, ref_table.weights)
+        if optimizer == "adam" and ref_opt.m is not None:
+            assert same_bits(opt.m, ref_opt.m)
+            assert same_bits(opt.v, ref_opt.v)
