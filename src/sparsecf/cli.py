@@ -21,7 +21,7 @@ from .data import DataFormatError, load_dataset, load_interactions, save_dataset
 from .embeddings import load_checkpoint, target_active_count
 from .evaluation import popularity_sparsity_correlation, sparsity_profile
 from .synth import generate_interactions
-from .trainer import METHODS, RunConfig, TrainingAborted, is_complete, train, write_csv
+from .trainer import RunConfig, TrainingAborted, is_complete, train, write_csv
 
 RUNS_COLUMNS = ("sparsity", "method", "seed", "run_id", "status", "recall", "ndcg", "hr",
                 "macs_train", "macs_infer", "memory")
@@ -33,20 +33,11 @@ _FLAG_TYPES = {"int": int, "float": float, "str": str}
 # RunConfig fields cmd_sweep sets for each cell; a spec's base may not set them
 _CELL_KEYS = ("method", "sparsity", "seed", "data_dir", "run_id")
 
-_dataset_cache: dict = {}
-
-
-def _load_dataset_cached(data_dir):
-    key = str(Path(data_dir).resolve())
-    if key not in _dataset_cache:
-        _dataset_cache[key] = load_dataset(data_dir)
-    return _dataset_cache[key]
-
-
 @dataclass
 class SweepSpec:
     """A cross-product of sparsity levels, methods, and seeds over one base
-    config, enumerated in declaration order (levels outermost)."""
+    config, enumerated in declaration order (levels outermost). Each cell
+    needs a run directory of its own."""
 
     base: RunConfig
     sparsities: list
@@ -58,9 +49,13 @@ class SweepSpec:
     def __post_init__(self):
         if not self.sparsities or not self.methods or not self.seeds:
             raise ValueError("sparsities, methods, and seeds must all be non-empty")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r} in sweep spec")
+        seen = {}
+        for cell in self.cells():
+            name = _cell_dir_name(*cell)
+            if name in seen:
+                raise ValueError(f"sweep cells {seen[name]} and {cell} share the run "
+                                 f"directory {name!r}")
+            seen[name] = cell
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
@@ -95,6 +90,11 @@ class SweepSpec:
         return [
             (s, m, seed) for s in self.sparsities for m in self.methods for seed in self.seeds
         ]
+
+
+def _cell_dir_name(sparsity, method: str, seed) -> str:
+    """Name of a sweep cell's run directory under <out>/runs."""
+    return f"{method}-s{sparsity:g}-seed{seed}"
 
 
 def _check_config_keys(values: dict, path) -> None:
@@ -175,7 +175,7 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    ds = _load_dataset_cached(args.data)
+    ds = load_dataset(args.data)
     run_id = cfg.resolve_run_id()
     out_dir = Path(args.out) if args.out else Path("runs") / run_id
     art = train(cfg, ds, out_dir=out_dir)
@@ -217,7 +217,7 @@ def _sweep_cell(data_dir: str, cfg_dict: dict, run_dir: str, resume: bool) -> di
         if done:
             row = _read_final_metrics(run_path / "metrics.csv")
         else:
-            row = train(cfg, _load_dataset_cached(data_dir), out_dir=run_path).final_metrics
+            row = train(cfg, load_dataset(data_dir), out_dir=run_path).final_metrics
         manifest = json.loads((run_path / "split_manifest.json").read_text(encoding="utf-8"))
         total = (manifest["num_users"] + manifest["num_items"]) * cfg.dim
         active = target_active_count(total, cfg.effective_sparsity)
@@ -277,13 +277,14 @@ def cmd_sweep(args) -> int:
     if data_dir is None:
         print("error: sweep needs a data dir (--data or spec 'data')", file=sys.stderr)
         return 2
-    out_dir.mkdir(parents=True, exist_ok=True)
     cells = spec.cells()
     jobs = []
     for s, method, seed in cells:
+        # RunConfig checks each cell's method, sparsity and seed before any cell trains
         cfg = replace(spec.base, method=method, sparsity=s, seed=seed, data_dir=str(data_dir))
-        run_dir = out_dir / "runs" / f"{method}-s{s:g}-seed{seed}"
+        run_dir = out_dir / "runs" / _cell_dir_name(s, method, seed)
         jobs.append((str(data_dir), asdict(cfg), str(run_dir), args.resume))
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_sweep_cell, *zip(*jobs)))
@@ -319,7 +320,7 @@ def cmd_profile(args) -> int:
     if data_dir is None:
         print("error: dataset location unknown; pass --data", file=sys.stderr)
         return 2
-    ds = _load_dataset_cached(data_dir)
+    ds = load_dataset(data_dir)
     if (ds.num_users, ds.num_items) != (table.num_users, table.num_items):
         print("error: dataset does not match checkpoint dimensions", file=sys.stderr)
         return 2

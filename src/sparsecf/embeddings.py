@@ -52,12 +52,10 @@ def init_table(
 class SparseMask:
     """Binary mask over the embedding table; True marks active entries.
 
-    The mask caches the flat index of its active entries for masked_step:
-    np.flatnonzero(bits), or slice(None) when every entry is active. The
-    bits change only at exploration events, so the index is computed once
-    per event instead of once per step. Only sparsifier.exploration_step
-    may move bits, and it drops the cached index after it does; any other
-    writer of bits would leave masked_step on a stale index.
+    The mask makes the bits array it is given read-only; move is its only
+    writer. The mask caches the flat index of its active entries, which
+    move drops, so masked_step and active_count compute it once per
+    exploration event.
     """
 
     bits: np.ndarray  # bool, same shape as the table weights
@@ -66,9 +64,23 @@ class SparseMask:
         default=None, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self):
+        self.bits.flags.writeable = False
+
+    def move(self, pruned: np.ndarray, grown: np.ndarray) -> None:
+        """Clear the bits at flat positions pruned and set them at grown."""
+        bits = self.bits.copy()
+        flat = bits.reshape(-1)
+        flat[pruned] = False
+        flat[grown] = True
+        bits.flags.writeable = False
+        self.bits = bits
+        self._active = None
+
     @property
     def active_count(self) -> int:
-        return int(np.count_nonzero(self.bits))
+        index = self._active_index()
+        return self.total if isinstance(index, slice) else len(index)
 
     @property
     def total(self) -> int:
@@ -167,14 +179,16 @@ def masked_step(
     semantics over the active set: every active moment decays on every
     step, also where the gradient is zero.
 
-    The active entries come from the mask's cached flat index (see
-    SparseMask). Under a dense mask the update runs in place on the table
-    and moment buffers; under a sparse one it gathers the active weights
-    and moments once, updates them in place and writes them back once.
+    The active entries come from the mask's cached flat index, which
+    SparseMask.move drops whenever the bits change. Under a dense mask the
+    update runs in place on the table and moment buffers; under a sparse
+    one it gathers the active weights and moments once, updates them in
+    place and writes them back once.
 
     Precondition: inactive weights and Adam moments are exactly zero.
     They are left untouched, so they stay zero; the trainer establishes
-    this when a phase starts and when exploration prunes or regrows.
+    this when a phase starts, and sparsifier.exploration_step keeps it:
+    it zeroes what it prunes and grows only entries that were inactive.
     The zeroed table is then the masked model, which is what
     models.bpr_loss_and_grad and the trainer's evaluation read.
     """

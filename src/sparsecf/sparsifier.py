@@ -148,31 +148,25 @@ def exploration_step(
 ) -> ExplorationEvent:
     """Replace floor(rho_t * active) mask positions in place.
 
-    Prunes first (weights zeroed, bits cleared), then asks grad_fn for
-    one dense gradient on a fresh batch and grows at the largest-|grad|
-    inactive positions outside the just-pruned set. Grown entries start
-    at zero with fresh optimizer moments, and the moments of pruned
-    entries are cleared, so every inactive weight and moment is zero
-    afterwards. The active count is identical before and after. This is
-    the only function that moves mask bits; it drops the mask's cached
-    active index (see embeddings.SparseMask).
+    Zeroes the weights to prune, then asks grad_fn for one dense gradient
+    on a fresh batch of that table and picks the largest-|grad| inactive
+    positions to grow. The bits then move in one SparseMask.move, so a
+    non-finite gradient raises with the mask unchanged. Grown entries were
+    inactive, hence already zero (see embeddings.masked_step), and start
+    with fresh optimizer moments; the moments of pruned entries are
+    cleared, so every inactive weight and moment is zero afterwards. The
+    active count is identical before and after.
     """
     rho_t = update_ratio(sched, t)
     active_before = mask.active_count
     pruned = select_prune(table, mask, rho_t)
-    flat_bits = mask.bits.ravel()
-    flat_w = table.weights.ravel()
-    flat_bits[pruned] = False
-    flat_w[pruned] = 0.0
+    table.weights.reshape(-1)[pruned] = 0.0
     grad = grad_fn()
     if not np.isfinite(grad).all():
         bad = tuple(int(i) for i in np.argwhere(~np.isfinite(grad))[0])
         raise FloatingPointError(f"non-finite growth gradient at position {bad}")
     grown = select_grow(grad, mask, len(pruned), exclude=pruned)
-    flat_bits[grown] = True
-    flat_w[grown] = 0.0
-    # the bits moved, so masked_step must recompute the active index
-    mask._active = None
+    mask.move(pruned, grown)
     if opt is not None:
         opt.reset_positions(np.concatenate([pruned, grown]))
     assert mask.active_count == active_before, "mask update changed the budget"

@@ -103,6 +103,8 @@ class RunConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_every is not None and self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.eval_k < 1:
+            raise ValueError(f"eval_k must be >= 1, got {self.eval_k}")
         self.schedule()  # checks rho0, delta_t, t_end and decay, for every method
 
     @property

@@ -128,6 +128,13 @@ def test_train_rejects_bad_exploration_fields_for_every_method(data_dir, tmp_pat
     assert "delta_t" in capsys.readouterr().err
 
 
+def test_train_rejects_eval_k_zero_before_training(data_dir, tmp_path, capsys):
+    rc = run_train(data_dir, tmp_path / "r", "--eval-k", "0")
+    assert rc == 2
+    assert "eval_k must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_warns_when_dense_gets_sparsity(data_dir, tmp_path, capsys):
     rc = run_train(data_dir, tmp_path / "run", "--method", "dense",
                    "--sparsity", "0.5")
@@ -301,6 +308,30 @@ def test_sweep_rejects_a_malformed_spec(data_dir, tmp_path, capsys, edit, messag
     assert rc == 2
     err = capsys.readouterr().err
     assert f"error: {spec}: {message}" in err
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("sparsities, name", [
+    ([0.3, 0.30000001], "rp-s0.3-seed0"),
+    ([0.5, 0.5], "rp-s0.5-seed0"),
+])
+def test_sweep_rejects_cells_sharing_a_run_dir(data_dir, tmp_path, capsys, sparsities, name):
+    spec = sweep_spec(tmp_path, data_dir, sparsities=sparsities, methods=["rp"], seeds=[0])
+    rc = main(["sweep", str(spec), "--out", str(tmp_path / "sweep")])
+    assert rc == 2
+    a, b = sparsities
+    assert (f"sweep cells ({a!r}, 'rp', 0) and ({b!r}, 'rp', 0) share the run directory "
+            f"'{name}'") in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_rejects_an_unknown_method_before_training(data_dir, tmp_path, capsys):
+    spec = sweep_spec(tmp_path, data_dir, methods=["rp", "lottery"])
+    rc = main(["sweep", str(spec), "--out", str(tmp_path / "sweep")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "method must be one of" in captured.err
+    assert "cell method=" not in captured.out
     assert not (tmp_path / "sweep").exists()
 
 

@@ -55,6 +55,24 @@ def test_init_mask_seeds_differ():
     assert differing >= 99
 
 
+def test_mask_bits_change_only_through_move(rng):
+    mask = init_mask((4, 3), 0.5, rng)
+    with pytest.raises(ValueError, match="read-only"):
+        mask.bits[0, 0] = False
+    before = mask.bits
+    active, inactive = np.flatnonzero(before), np.flatnonzero(~before)
+    mask.move(active[:2], inactive[:2])
+    want = before.copy().ravel()
+    want[active[:2]] = False
+    want[inactive[:2]] = True
+    assert np.array_equal(mask.bits.ravel(), want)
+    assert mask.active_count == 6
+    assert np.array_equal(mask._active_index(), np.flatnonzero(want))
+    with pytest.raises(ValueError, match="read-only"):
+        mask.bits[0, 0] = True
+    assert SparseMask(np.ones((4, 3), dtype=bool)).active_count == 12
+
+
 def test_init_table_shape_and_scale(rng):
     t = init_table(50, 70, 8, rng, scale=0.01)
     assert t.weights.shape == (120, 8)

@@ -257,8 +257,12 @@ def test_exploration_step_rejects_nonfinite_gradient(rng):
     sched = ExplorationSchedule(0.5, 10, 100, "none")
     grad = np.zeros((4, 2))
     grad[0, 1] = np.inf
+    before = mask.bits.copy()
     with pytest.raises(FloatingPointError):
         exploration_step(t, mask, None, sched, 10, lambda: grad)
+    # the bits move only once the growth set is known
+    assert np.array_equal(mask.bits, before)
+    assert mask.active_count == 4
 
 
 def test_event_log_entry_counts_and_positions():

@@ -69,6 +69,8 @@ def test_run_config_validation():
         RunConfig(batch_size=0)
     with pytest.raises(ValueError):
         RunConfig(eval_every=0)
+    with pytest.raises(ValueError, match="eval_k"):
+        RunConfig(eval_k=0)
     # the exploration fields are checked for every method, not only dsl
     for method in ("dsl", "rp", "dense", "omp"):
         with pytest.raises(ValueError, match="delta_t"):
@@ -341,6 +343,17 @@ def test_diverging_run_aborts_and_keeps_artifacts(tmp_path, small_split):
     assert lines[0] == ",".join(METRICS_COLUMNS)
     # rows logged before the abort are retained
     assert len(lines) - 1 == len(err.artifacts.metrics)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_run_aborted_at_exploration_keeps_the_budget(tmp_path, small_split):
+    cfg = quick_cfg(optimizer="sgd", lr=1e200, delta_t=2, t_end=20, run_id="boom")
+    with pytest.raises(TrainingAborted) as exc_info:
+        train(cfg, small_split, out_dir=tmp_path / "run")
+    assert is_exploration_iteration(cfg.schedule(), exc_info.value.iteration)
+    table, mask = load_checkpoint(tmp_path / "run" / "checkpoint.final")
+    assert mask.active_count == target_active_count(mask.total, cfg.sparsity)
+    assert np.all(table.weights[~mask.bits] == 0.0)
 
 
 # ---------------------------------------------------------------------------
