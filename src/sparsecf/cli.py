@@ -51,6 +51,8 @@ class SweepSpec:
             raise ValueError("sparsities, methods, and seeds must all be non-empty")
         seen = {}
         for cell in self.cells():
+            # RunConfig checks each cell's sparsity, method and seed before any cell trains
+            replace(self.base, sparsity=cell[0], method=cell[1], seed=cell[2])
             name = _cell_dir_name(*cell)
             if name in seen:
                 raise ValueError(f"sweep cells {seen[name]} and {cell} share the run "
@@ -59,31 +61,32 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: a sweep spec must be a JSON object, "
-                             f"got {type(payload).__name__}")
-        for key in ("sparsities", "methods", "seeds"):
-            if key not in payload:
-                raise ValueError(f"{path}: missing key {key!r}")
-            if not isinstance(payload[key], list):
-                raise ValueError(f"{path}: {key!r} must be a list, "
-                                 f"got {type(payload[key]).__name__}")
-        base = payload.get("base", {})
-        if not isinstance(base, dict):
-            raise ValueError(f"{path}: 'base' must be an object, got {type(base).__name__}")
-        _check_config_keys(base, path)
-        per_cell = sorted(set(base) & set(_CELL_KEYS))
-        if per_cell:
-            raise ValueError(f"{path}: base sets {per_cell}, which the sweep sets for each cell")
-        return cls(
-            base=RunConfig(**base),
-            sparsities=payload["sparsities"],
-            methods=payload["methods"],
-            seeds=payload["seeds"],
-            data=payload.get("data"),
-            out=payload.get("out"),
-        )
+        """The spec in the JSON file at path; a ValueError names the file."""
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(payload, dict):
+                raise ValueError("a sweep spec must be a JSON object, "
+                                 f"got {type(payload).__name__}")
+            for key in ("sparsities", "methods", "seeds"):
+                if key not in payload:
+                    raise ValueError(f"missing key {key!r}")
+                if not isinstance(payload[key], list):
+                    raise ValueError(f"{key!r} must be a list, got {type(payload[key]).__name__}")
+            base = payload.get("base", {})
+            base_cfg = _config_from(base, "'base'")
+            per_cell = sorted(set(base) & set(_CELL_KEYS))
+            if per_cell:
+                raise ValueError(f"base sets {per_cell}, which the sweep sets for each cell")
+            return cls(
+                base=base_cfg,
+                sparsities=payload["sparsities"],
+                methods=payload["methods"],
+                seeds=payload["seeds"],
+                data=payload.get("data"),
+                out=payload.get("out"),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def cells(self) -> list:
         """(sparsity, method, seed) tuples in declaration order."""
@@ -97,11 +100,14 @@ def _cell_dir_name(sparsity, method: str, seed) -> str:
     return f"{method}-s{sparsity:g}-seed{seed}"
 
 
-def _check_config_keys(values: dict, path) -> None:
-    """Reject a config dict read from path that names a key RunConfig lacks."""
+def _config_from(values, what: str) -> RunConfig:
+    """RunConfig of a config read from JSON; what names it in an error."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{what} must be an object, got {type(values).__name__}")
     unknown = set(values) - {f.name for f in fields(RunConfig)}
     if unknown:
-        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return RunConfig(**values)
 
 
 def _flag_fields() -> list:
@@ -120,8 +126,11 @@ def _resolve_config(args) -> RunConfig:
     """flags > config file > dataclass defaults."""
     values = {}
     if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        _check_config_keys(file_cfg, args.config)
+        try:
+            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            _config_from(file_cfg, "a config file")  # checked alone, so errors name the file
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
         values.update(file_cfg)
     for f in _flag_fields():
         flag_val = getattr(args, f.name, None)
@@ -280,7 +289,6 @@ def cmd_sweep(args) -> int:
     cells = spec.cells()
     jobs = []
     for s, method, seed in cells:
-        # RunConfig checks each cell's method, sparsity and seed before any cell trains
         cfg = replace(spec.base, method=method, sparsity=s, seed=seed, data_dir=str(data_dir))
         run_dir = out_dir / "runs" / _cell_dir_name(s, method, seed)
         jobs.append((str(data_dir), asdict(cfg), str(run_dir), args.resume))

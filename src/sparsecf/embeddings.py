@@ -5,8 +5,8 @@ dim) float64 array, users first. A mask of the same shape marks which
 entries are trainable; masked-out entries are held at exactly zero, so
 the zeroed table *is* the masked model. Scoring and the BPR loss
 (models.bpr_loss_and_grad) read the weights as stored and rely on this;
-only apply_mask builds a masked copy, for a (table, mask) pair that
-comes from outside a run.
+only apply_mask builds a masked copy, for a (table, mask) pair from
+outside a run. Adam's moments are held for the active entries only.
 """
 
 from __future__ import annotations
@@ -131,11 +131,11 @@ def zero_inactive(table: EmbeddingTable, mask: SparseMask) -> None:
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state over the full table.
+    """SGD or Adam state over the active entries of a mask.
 
-    Adam moment buffers live densely alongside the table; moments of
-    inactive entries are held at zero so regrown entries restart from a
-    cold optimizer state.
+    Adam's moments m and v hold one value per active entry, in the order
+    of the mask's flat active index (the whole table under an all-active
+    mask); regrown entries start from a cold optimizer state.
     """
 
     kind: str
@@ -144,8 +144,9 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: np.ndarray | None = field(default=None, repr=False)
-    v: np.ndarray | None = field(default=None, repr=False)
+    m: np.ndarray | None = field(default=None, init=False, repr=False)
+    v: np.ndarray | None = field(default=None, init=False, repr=False)
+    _index: np.ndarray | slice | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -153,16 +154,15 @@ class OptimizerState:
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
 
-    def _ensure_buffers(self, shape):
-        if self.kind == "adam" and self.m is None:
-            self.m = np.zeros(shape)
-            self.v = np.zeros(shape)
-
-    def reset_positions(self, positions: np.ndarray) -> None:
-        """Clear Adam moments at flat positions (e.g. pruned or regrown entries)."""
-        if self.kind == "adam" and self.m is not None:
-            self.m.reshape(-1)[positions] = 0.0
-            self.v.reshape(-1)[positions] = 0.0
+    def _follow(self, index: np.ndarray | slice, total: int) -> None:
+        """Carry m and v over to index through zeroed scratches of the table's
+        total entries: entries new to index read zero, dropped ones go."""
+        for name in ("m", "v"):
+            full = np.zeros(total)
+            if self._index is not None:
+                full[self._index] = getattr(self, name)
+            setattr(self, name, full[index])
+        self._index = index
 
 
 def masked_step(
@@ -174,23 +174,23 @@ def masked_step(
     """Apply one optimizer update to the active entries only.
 
     The gradient is dense over the table; contributions at inactive
-    positions are discarded. Only active weights and moments are read or
-    written, so the work scales with the active count. Adam keeps dense
-    semantics over the active set: every active moment decays on every
-    step, also where the gradient is zero.
+    positions are discarded. Only active weights are read or written, so
+    the work scales with the active count. Adam keeps dense semantics over
+    the active set: every active moment decays on every step, also where
+    the gradient is zero.
 
     The active entries come from the mask's cached flat index, which
     SparseMask.move drops whenever the bits change. Under a dense mask the
-    update runs in place on the table and moment buffers; under a sparse
-    one it gathers the active weights and moments once, updates them in
-    place and writes them back once.
+    update runs in place on the table; under a sparse one it gathers the
+    active weights once, updates them in place and writes them back once.
+    Adam's moments follow that index (see OptimizerState).
 
-    Precondition: inactive weights and Adam moments are exactly zero.
-    They are left untouched, so they stay zero; the trainer establishes
-    this when a phase starts, and sparsifier.exploration_step keeps it:
-    it zeroes what it prunes and grows only entries that were inactive.
-    The zeroed table is then the masked model, which is what
-    models.bpr_loss_and_grad and the trainer's evaluation read.
+    Precondition: inactive weights are exactly zero. They are left
+    untouched, so they stay zero; the trainer establishes this when a
+    phase starts, and sparsifier.exploration_step keeps it: it zeroes what
+    it prunes and grows only entries that were inactive. The zeroed table
+    is then the masked model, which is what models.bpr_loss_and_grad and
+    the trainer's evaluation read.
     """
     if grad.shape != table.weights.shape:
         raise ValueError(f"grad shape {grad.shape} != table shape {table.weights.shape}")
@@ -198,7 +198,6 @@ def masked_step(
         bad = tuple(int(i) for i in np.argwhere(~np.isfinite(grad))[0])
         raise FloatingPointError(f"non-finite gradient at position {bad}")
     idx = mask._active_index()
-    gathered = not isinstance(idx, slice)
     w_flat = table.weights.reshape(-1)
     # under a dense mask these are views, and every update below is in place
     w = w_flat[idx]
@@ -206,33 +205,27 @@ def masked_step(
     opt.step += 1
     if opt.kind == "sgd":
         w -= opt.lr * g
-        if gathered:
-            w_flat[idx] = w
-        return
-    opt._ensure_buffers(table.weights.shape)
-    m_flat = opt.m.reshape(-1)
-    v_flat = opt.v.reshape(-1)
-    m = m_flat[idx]
-    v = v_flat[idx]
-    # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + ((1 - beta2) * g) * g
-    tmp = np.multiply(1.0 - opt.beta1, g)
-    m *= opt.beta1
-    m += tmp
-    np.multiply(1.0 - opt.beta2, g, out=tmp)
-    tmp *= g
-    v *= opt.beta2
-    v += tmp
-    # w -= (lr * m_hat) / (sqrt(v_hat) + eps)
-    np.divide(v, 1.0 - opt.beta2**opt.step, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += opt.eps
-    update = np.divide(m, 1.0 - opt.beta1**opt.step)
-    update *= opt.lr
-    update /= tmp
-    w -= update
-    if gathered:
-        m_flat[idx] = m
-        v_flat[idx] = v
+    else:
+        if opt._index is not idx:
+            opt._follow(idx, w_flat.size)
+        m, v = opt.m, opt.v
+        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + ((1 - beta2) * g) * g
+        tmp = np.multiply(1.0 - opt.beta1, g)
+        m *= opt.beta1
+        m += tmp
+        np.multiply(1.0 - opt.beta2, g, out=tmp)
+        tmp *= g
+        v *= opt.beta2
+        v += tmp
+        # w -= (lr * m_hat) / (sqrt(v_hat) + eps)
+        np.divide(v, 1.0 - opt.beta2**opt.step, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += opt.eps
+        update = np.divide(m, 1.0 - opt.beta1**opt.step)
+        update *= opt.lr
+        update /= tmp
+        w -= update
+    if not isinstance(idx, slice):
         w_flat[idx] = w
 
 
@@ -275,8 +268,9 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, SparseMask]:
         if type(value) is not int or value < 1:
             raise ValueError(f"{path}: checkpoint header {key} must be a positive integer, "
                              f"got {value!r}")
-    if "sparsity" not in header:
-        raise ValueError(f"{path}: checkpoint header has no sparsity")
+    sparsity = header.get("sparsity")
+    if type(sparsity) not in (int, float) or not 0.0 <= sparsity < 1.0:
+        raise ValueError(f"{path}: checkpoint header sparsity must be in [0, 1), got {sparsity!r}")
     num_users, num_items, dim = header["num_users"], header["num_items"], header["dim"]
     shape = (num_users + num_items, dim)
     total = shape[0] * shape[1]
@@ -293,5 +287,5 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, SparseMask]:
     bits = bits.view(bool).reshape(shape)
     weights = np.zeros(shape)
     weights[bits] = np.frombuffer(body, dtype="<f8", offset=mask_bytes)
-    mask = SparseMask(bits, target_sparsity=header["sparsity"])
+    mask = SparseMask(bits, target_sparsity=sparsity)
     return EmbeddingTable(num_users, num_items, dim, weights), mask

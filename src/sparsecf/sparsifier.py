@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import (
-    EmbeddingTable,
-    OptimizerState,
-    SparseMask,
-    target_active_count,
-)
+from .embeddings import EmbeddingTable, SparseMask, target_active_count
 
 DECAYS = ("cosine", "linear", "none")
 
@@ -141,7 +136,6 @@ def select_grow(
 def exploration_step(
     table: EmbeddingTable,
     mask: SparseMask,
-    opt: OptimizerState | None,
     sched: ExplorationSchedule,
     t: int,
     grad_fn,
@@ -152,10 +146,9 @@ def exploration_step(
     on a fresh batch of that table and picks the largest-|grad| inactive
     positions to grow. The bits then move in one SparseMask.move, so a
     non-finite gradient raises with the mask unchanged. Grown entries were
-    inactive, hence already zero (see embeddings.masked_step), and start
-    with fresh optimizer moments; the moments of pruned entries are
-    cleared, so every inactive weight and moment is zero afterwards. The
-    active count is identical before and after.
+    inactive, hence already zero (see embeddings.masked_step); masked_step
+    starts them from a cold optimizer state. The active count is identical
+    before and after.
     """
     rho_t = update_ratio(sched, t)
     active_before = mask.active_count
@@ -167,8 +160,6 @@ def exploration_step(
         raise FloatingPointError(f"non-finite growth gradient at position {bad}")
     grown = select_grow(grad, mask, len(pruned), exclude=pruned)
     mask.move(pruned, grown)
-    if opt is not None:
-        opt.reset_positions(np.concatenate([pruned, grown]))
     assert mask.active_count == active_before, "mask update changed the budget"
     return ExplorationEvent(
         t=t,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +95,12 @@ class RunConfig:
     run_id: str | None = None
 
     def __post_init__(self):
+        types = {"int": int, "float": (int, float), "str": str}  # no field takes a bool
+        for f in fields(self):
+            value, typ = getattr(self, f.name), f.type.removesuffix(" | None")
+            typed = isinstance(value, types[typ]) and not isinstance(value, bool)
+            if not typed and not (value is None and typ != f.type):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 <= self.sparsity < 1.0:
@@ -307,7 +313,7 @@ def _run_phase(
                 def grad_fn():
                     return state.grad_on_fresh_batch(table)[1]
 
-                event = exploration_step(table, mask, opt, sched, t - t_start, grad_fn)
+                event = exploration_step(table, mask, sched, t - t_start, grad_fn)
                 art.events.append(event)
                 state.macs_cum += macs_training(state.fwd, 0, 0.0, exploration_iterations=1)
             else:

@@ -122,6 +122,22 @@ def test_train_rejects_unknown_config_key(data_dir, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"sparsity": "0.5"}, "sparsity must be of type float, got '0.5'"),
+    ({"lr": "0.01"}, "lr must be of type float, got '0.01'"),
+    (5, "a config file must be an object, got int"),
+    ([], "a config file must be an object, got list"),
+])
+def test_train_rejects_a_config_file_of_wrong_type(data_dir, tmp_path, capsys, payload, message):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(payload))
+    out = tmp_path / "r"
+    rc = main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(cfg_file)])
+    assert rc == 2
+    assert f"error: {cfg_file}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_bad_exploration_fields_for_every_method(data_dir, tmp_path, capsys):
     rc = run_train(data_dir, tmp_path / "r", "--method", "rp", "--delta-t", "0")
     assert rc == 2
@@ -300,6 +316,9 @@ def test_sweep_rejects_unknown_base_key(data_dir, tmp_path, capsys):
      "base sets ['method', 'seed'], which the sweep sets for each cell"),
     (lambda spec: spec | {"base": {"run_id": "same", "data_dir": "elsewhere"}},
      "base sets ['data_dir', 'run_id'], which the sweep sets for each cell"),
+    (lambda spec: spec | {"base": spec["base"] | {"dim": "8"}},
+     "dim must be of type int, got '8'"),
+    (lambda spec: spec | {"sparsities": ["0.5"]}, "sparsity must be of type float, got '0.5'"),
 ])
 def test_sweep_rejects_a_malformed_spec(data_dir, tmp_path, capsys, edit, message):
     spec = sweep_spec(tmp_path, data_dir)

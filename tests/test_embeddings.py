@@ -134,16 +134,50 @@ def test_masked_step_adam_matches_manual(rng):
     assert np.array_equal(t.weights, w)
 
 
-def test_masked_step_adam_moments_stay_zero_inactive(rng):
-    t = table_of(rng.normal(size=(6, 4)))
-    mask = init_mask((6, 4), 0.5, rng)
+def test_masked_step_adam_moments_carry_across_move(rng):
+    shape = (6, 4)
+    t = table_of(rng.normal(size=shape))
+    mask = init_mask(shape, 0.5, rng)
     t.weights[~mask.bits] = 0.0
     opt = OptimizerState("adam", lr=0.01)
-    for _ in range(3):
-        masked_step(t, rng.normal(size=(6, 4)), mask, opt)
-    assert np.all(t.weights[~mask.bits] == 0.0)
-    assert np.all(opt.m[~mask.bits] == 0.0)
-    assert np.all(opt.v[~mask.bits] == 0.0)
+    b1, b2 = opt.beta1, opt.beta2
+    moves = (2, 3, 5)
+    for step in range(7):
+        if step in moves:
+            # moments by flat position, read through the mask's row-major order
+            active = np.flatnonzero(mask.bits)
+            before = dict(zip(active.tolist(), zip(opt.m.tolist(), opt.v.tolist())))
+            pruned = np.sort(rng.choice(active, 3, replace=False))
+            grown = np.sort(rng.choice(np.flatnonzero(~mask.bits), 3, replace=False))
+            t.weights.reshape(-1)[pruned] = 0.0
+            mask.move(pruned, grown)
+        g = rng.normal(size=shape)
+        masked_step(t, g, mask, opt)
+        assert len(opt.m) == len(opt.v) == mask.active_count
+        assert np.all(t.weights[~mask.bits] == 0.0)
+        if step in moves:
+            flat_g = g.reshape(-1)
+            for i, pos in enumerate(np.flatnonzero(mask.bits).tolist()):
+                # kept entries carry their moments bitwise; grown ones start at zero
+                m0, v0 = before[pos] if pos not in grown else (0.0, 0.0)
+                assert opt.m[i] == m0 * b1 + (1.0 - b1) * flat_g[pos]
+                assert opt.v[i] == v0 * b2 + ((1.0 - b2) * flat_g[pos]) * flat_g[pos]
+
+
+def test_masked_step_adam_moments_carry_across_all_active_move(rng):
+    # dsl at s=0 with rho0=0: each exploration event moves nothing, but the
+    # mask still swaps its cached slice(None) for a new one
+    t = table_of(rng.normal(size=(3, 4)))
+    mask = SparseMask(np.ones((3, 4), dtype=bool))
+    opt = OptimizerState("adam", lr=0.01)
+    masked_step(t, rng.normal(size=(3, 4)), mask, opt)
+    m, v = opt.m.copy(), opt.v.copy()
+    mask.move(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    g = rng.normal(size=(3, 4)).reshape(-1)
+    masked_step(t, g.reshape(3, 4), mask, opt)
+    assert len(opt.m) == len(opt.v) == mask.active_count == 12
+    assert np.array_equal(opt.m, m * opt.beta1 + (1.0 - opt.beta1) * g)
+    assert np.array_equal(opt.v, v * opt.beta2 + ((1.0 - opt.beta2) * g) * g)
 
 
 @pytest.mark.parametrize("kind", ["adam", "sgd"])
@@ -187,10 +221,9 @@ def test_masked_step_sparse_mask_matches_reference_on_active(rng, kind):
     # leaves it where it was
     assert moved == (kind == "adam")
     if kind == "adam":
-        assert np.array_equal(opt.m[active], m)
-        assert np.array_equal(opt.v[active], v)
-        assert np.all(opt.m[~active] == 0.0)
-        assert np.all(opt.v[~active] == 0.0)
+        # the moments are stored for the active entries alone, in row-major order
+        assert np.array_equal(opt.m, m)
+        assert np.array_equal(opt.v, v)
 
 
 def test_masked_step_rejects_nonfinite_grad(rng):
@@ -255,13 +288,16 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     path.write_text('{"format": "other", "active": []}')
     with pytest.raises(ValueError, match="format"):
         load_checkpoint(path)
-    # a header field missing or out of range fails naming the file
+    # a header field missing, of the wrong type or out of range fails naming the file
     good = {"format": "sparse-embedding-v2", "num_users": 2, "num_items": 3, "dim": 4,
             "sparsity": 0.5}
-    for key, value in (("num_users", None), ("num_users", -3), ("num_items", 0),
-                       ("dim", 2.0), ("dim", "4"), ("dim", True), ("sparsity", None)):
+    missing = object()
+    for key, value in (("num_users", missing), ("num_users", -3), ("num_items", 0),
+                       ("dim", 2.0), ("dim", "4"), ("dim", True), ("sparsity", missing),
+                       ("sparsity", "x"), ("sparsity", 7.5), ("sparsity", 1), ("sparsity", -0.1),
+                       ("sparsity", None), ("sparsity", True), ("sparsity", float("nan"))):
         header = dict(good)
-        if value is None:
+        if value is missing:
             del header[key]
         else:
             header[key] = value

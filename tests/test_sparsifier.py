@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sparsecf import (
     EmbeddingTable,
-    OptimizerState,
     SparseMask,
     ExplorationSchedule,
     exploration_step,
@@ -201,7 +200,7 @@ def test_exploration_step_moves_expected_positions():
         calls.append(1)
         return grad
 
-    event = exploration_step(t, mask, None, sched, 10, grad_fn)
+    event = exploration_step(t, mask, sched, 10, grad_fn)
     # floor(0.5 * 4) = 2 smallest |w| among active: 0.01 (pos 1) and 0.5 (pos 2)
     assert event.pruned_positions.tolist() == [1, 2]
     # grows the two largest |grad| inactive positions outside the pruned set
@@ -222,22 +221,16 @@ def test_exploration_step_budget_and_disjointness(rng):
         mask = init_mask(shape, 0.5, rng)
         t.weights[~mask.bits] = 0.0
         before_active = np.flatnonzero(mask.bits.ravel())
-        opt = OptimizerState("adam", 0.01)
-        opt._ensure_buffers(shape)
-        opt.m[:] = 1.0
-        opt.v[:] = 1.0
         sched = ExplorationSchedule(float(rng.uniform(0, 0.9)), 10, 100, "cosine")
         grad = rng.normal(size=shape)
-        event = exploration_step(t, mask, opt, sched, 10, lambda: grad)
+        event = exploration_step(t, mask, sched, 10, lambda: grad)
         assert len(event.pruned_positions) == len(event.grown_positions)
         assert not set(event.pruned_positions) & set(event.grown_positions)
         assert set(event.pruned_positions) <= set(before_active)
         assert not set(event.grown_positions) & set(before_active)
         assert mask.active_count == len(before_active)
-        grown = event.grown_positions
-        if len(grown):
-            assert np.all(opt.m.ravel()[grown] == 0.0)
-            assert np.all(opt.v.ravel()[grown] == 0.0)
+        assert np.all(t.weights.ravel()[event.pruned_positions] == 0.0)
+        assert np.all(t.weights.ravel()[event.grown_positions] == 0.0)
 
 
 def test_exploration_step_rho_zero_is_noop(rng):
@@ -246,7 +239,7 @@ def test_exploration_step_rho_zero_is_noop(rng):
     t.weights[~mask.bits] = 0.0
     before = mask.bits.copy()
     sched = ExplorationSchedule(0.0, 10, 100)
-    event = exploration_step(t, mask, None, sched, 10, lambda: np.ones((4, 3)))
+    event = exploration_step(t, mask, sched, 10, lambda: np.ones((4, 3)))
     assert event.count == 0
     assert np.array_equal(mask.bits, before)
 
@@ -259,7 +252,7 @@ def test_exploration_step_rejects_nonfinite_gradient(rng):
     grad[0, 1] = np.inf
     before = mask.bits.copy()
     with pytest.raises(FloatingPointError):
-        exploration_step(t, mask, None, sched, 10, lambda: grad)
+        exploration_step(t, mask, sched, 10, lambda: grad)
     # the bits move only once the growth set is known
     assert np.array_equal(mask.bits, before)
     assert mask.active_count == 4

@@ -81,6 +81,20 @@ def test_run_config_validation():
         RunConfig(method="rp", rho0=5.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sparsity", "0.5"), ("lr", "0.01"), ("dim", "8"), ("dim", 8.0), ("seed", True),
+    ("sparsity", False), ("method", 5), ("t_end", None), ("eval_every", 2.0), ("run_id", 3),
+])
+def test_run_config_rejects_a_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be of type "):
+        RunConfig(**{field: value})
+
+
+def test_run_config_types_take_int_for_float_and_none_for_optional():
+    cfg = RunConfig(sparsity=0, lr=1, rho0=0, eval_every=None, run_id=None, data_dir=None)
+    assert (cfg.sparsity, cfg.lr, cfg.eval_every) == (0, 1, None)
+
+
 def test_run_id_is_stable_and_descriptive():
     cfg = quick_cfg(seed=3)
     rid = cfg.resolve_run_id()
@@ -400,7 +414,9 @@ def bpr_loss_and_grad_reference(cfg, table, batch):
 
 def masked_step_reference(table, grad, mask, opt):
     """One optimizer update as computed before the mask cached its active
-    index: the index is recomputed from the bits, and Adam runs out of place."""
+    index: the index is recomputed from the bits, and Adam runs out of place
+    on moments over the full table, which the caller holds at zero wherever
+    the mask is inactive."""
     idx = slice(None) if mask.active_count == mask.total else np.flatnonzero(mask.bits)
     weights = table.weights.reshape(-1)
     g = grad.reshape(-1)[idx]
@@ -408,7 +424,9 @@ def masked_step_reference(table, grad, mask, opt):
     if opt.kind == "sgd":
         weights[idx] -= opt.lr * g
         return
-    opt._ensure_buffers(table.weights.shape)
+    if opt.m is None:
+        opt.m = np.zeros(table.weights.shape)
+        opt.v = np.zeros(table.weights.shape)
     m_flat = opt.m.reshape(-1)
     v_flat = opt.v.reshape(-1)
     m = opt.beta1 * m_flat[idx] + (1.0 - opt.beta1) * g
@@ -455,14 +473,19 @@ def test_learning_step_matches_reference(small_split, backbone, optimizer, spars
     for t in range(1, steps + 1):
         batch = sample_batch(ds, 64, rng)
         if sparsity and is_exploration_iteration(sched, t):
-            event = exploration_step(table, mask, opt, sched, t,
+            event = exploration_step(table, mask, sched, t,
                                      lambda: bpr_loss_and_grad(bb, table, batch)[1])
             ref_event = exploration_step(
-                ref_table, ref_mask, ref_opt, sched, t,
+                ref_table, ref_mask, sched, t,
                 lambda: bpr_loss_and_grad_reference(bb, ref_table, batch)[1])
             assert event.count > 0
             assert np.array_equal(event.grown_positions, ref_event.grown_positions)
             assert np.array_equal(mask.bits, ref_mask.bits)
+            if ref_opt.m is not None:
+                # pruned and regrown entries restart from a cold optimizer state
+                moved = np.concatenate([ref_event.pruned_positions, ref_event.grown_positions])
+                ref_opt.m.reshape(-1)[moved] = 0.0
+                ref_opt.v.reshape(-1)[moved] = 0.0
         else:
             loss, grad = bpr_loss_and_grad(bb, table, batch)
             ref_loss, ref_grad = bpr_loss_and_grad_reference(bb, ref_table, batch)
@@ -470,7 +493,10 @@ def test_learning_step_matches_reference(small_split, backbone, optimizer, spars
             assert same_bits(grad, ref_grad)
             masked_step(table, grad, mask, opt)
             masked_step_reference(ref_table, ref_grad, ref_mask, ref_opt)
+            if optimizer == "adam":
+                # the moments follow the mask's active entries in row-major order
+                active = ref_mask.bits.reshape(-1)
+                assert len(opt.m) == len(opt.v) == mask.active_count
+                assert same_bits(opt.m, ref_opt.m.reshape(-1)[active])
+                assert same_bits(opt.v, ref_opt.v.reshape(-1)[active])
         assert same_bits(table.weights, ref_table.weights)
-        if optimizer == "adam" and ref_opt.m is not None:
-            assert same_bits(opt.m, ref_opt.m)
-            assert same_bits(opt.v, ref_opt.v)
