@@ -3,7 +3,6 @@
 from .data import (
     DataFormatError,
     NoValidNegativeError,
-    TrainBatch,
     load_dataset,
     load_interactions,
     make_dataset,
@@ -62,7 +61,6 @@ __all__ = [
     "OptimizerState",
     "RunConfig",
     "SparseMask",
-    "TrainBatch",
     "TrainingAborted",
     "apply_mask",
     "bpr_loss_and_grad",

@@ -28,7 +28,7 @@ class DataFormatError(ValueError):
     """An interaction file could not be parsed or violates its declared sizes."""
 
 
-class NoValidNegativeError(RuntimeError):
+class NoValidNegativeError(ValueError):
     """A sampled user has interacted with every item; no negative exists."""
 
 
@@ -37,17 +37,19 @@ class InteractionDataset:
     """Bipartite implicit-feedback interactions with a train/test split.
 
     Edges are (user, item) index pairs stored as int64 arrays of shape
-    (n, 2); users occupy indices [0, num_users), items [0, num_items).
-    Instances are treated as immutable after construction and may be
-    shared across concurrent readers.
+    (n, 2) in the order given; users occupy indices [0, num_users), items
+    [0, num_items). Each split is also kept as its sorted keys
+    user * num_items + item (_train_keys, _test_keys), where a user's items
+    are one contiguous run. Instances are treated as immutable after
+    construction and may be shared across concurrent readers.
     """
 
     num_users: int
     num_items: int
     train_edges: np.ndarray
     test_edges: np.ndarray
-    # sorted u*num_items+i keys of the train edges, for O(log n) membership
     _train_keys: np.ndarray = field(repr=False)
+    _test_keys: np.ndarray = field(repr=False)
 
     @property
     def num_train(self) -> int:
@@ -66,28 +68,6 @@ class InteractionDataset:
         raise ValueError(f"side must be 'users' or 'items', got {side!r}")
 
 
-@dataclass
-class TrainBatch:
-    """A batch of (user, positive item, negative item) training triples."""
-
-    triples: np.ndarray  # (batch, 3) int64
-
-    @property
-    def users(self) -> np.ndarray:
-        return self.triples[:, 0]
-
-    @property
-    def pos_items(self) -> np.ndarray:
-        return self.triples[:, 1]
-
-    @property
-    def neg_items(self) -> np.ndarray:
-        return self.triples[:, 2]
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-
 def _as_edge_array(edges) -> np.ndarray:
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
@@ -103,6 +83,10 @@ def make_dataset(num_users, num_items, train_edges, test_edges=()) -> Interactio
     Checks index ranges, rejects duplicate pairs within a split and any
     overlap between splits.
     """
+    # every key user * num_items + item, and the bound num_users * num_items
+    # of the last user's keys, must fit in int64
+    if int(num_users) * int(num_items) >= 2**63:
+        raise ValueError(f"keys of {num_users} users x {num_items} items do not fit in int64")
     train = _as_edge_array(train_edges)
     test = _as_edge_array(test_edges)
     for name, arr in (("train", train), ("test", test)):
@@ -118,21 +102,28 @@ def make_dataset(num_users, num_items, train_edges, test_edges=()) -> Interactio
         raise ValueError("duplicate (user, item) pair in train split")
     if _has_duplicates(test_keys):
         raise ValueError("duplicate (user, item) pair in test split")
-    if len(train_keys) and len(test_keys):
-        at = np.minimum(np.searchsorted(train_keys, test_keys), len(train_keys) - 1)
-        if (train_keys[at] == test_keys).any():
-            raise ValueError("train and test splits overlap")
+    if _in_sorted(train_keys, test_keys).any():
+        raise ValueError("train and test splits overlap")
     return InteractionDataset(
         num_users=int(num_users),
         num_items=int(num_items),
         train_edges=train,
         test_edges=test,
         _train_keys=train_keys,
+        _test_keys=test_keys,
     )
 
 
 def _has_duplicates(sorted_keys: np.ndarray) -> bool:
     return bool((sorted_keys[1:] == sorted_keys[:-1]).any())
+
+
+def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of keys is in sorted_keys, by binary search."""
+    if not len(sorted_keys):
+        return np.zeros(keys.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys
 
 
 def _parse_index(token: str, where: str, what: str) -> int:
@@ -142,6 +133,8 @@ def _parse_index(token: str, where: str, what: str) -> int:
         raise DataFormatError(f"{where}: cannot parse {what} index {token!r}") from None
     if value < 0:
         raise DataFormatError(f"{where}: negative {what} index {value}")
+    if value >= 2**63:
+        raise DataFormatError(f"{where}: {what} index {value} is not below 2**63")
     return value
 
 
@@ -263,6 +256,10 @@ def _checked_edges(path, arr: np.ndarray, declared) -> tuple[np.ndarray, tuple]:
     else:
         num_users = int(arr[:, 0].max()) + 1
         num_items = int(arr[:, 1].max()) + 1
+    if num_users * num_items >= 2**63:  # see make_dataset
+        raise DataFormatError(
+            f"{path}: keys of {num_users} users x {num_items} items do not fit in int64"
+        )
     keys = arr[:, 0] * np.int64(num_items) + arr[:, 1]
     if _has_duplicates(np.sort(keys)):
         _, first_idx = np.unique(keys, return_index=True)
@@ -312,9 +309,10 @@ def split_holdout(ds: InteractionDataset, ratio: float, seed: int) -> Interactio
 _MAX_REJECTION_ROUNDS = 100
 
 
-def sample_batch(ds: InteractionDataset, batch_size: int, rng: np.random.Generator) -> TrainBatch:
-    """Draw (u, i, j) triples: (u, i) uniform over train edges, j a uniform
-    random item the user has not interacted with.
+def sample_batch(ds: InteractionDataset, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a (batch_size, 3) int64 array of (user u, positive item i,
+    negative item j) rows: (u, i) uniform over train edges, j a uniform
+    random item u has not interacted with.
 
     Negatives are rejection-sampled with a bounded number of rounds, then
     resolved by a linear scan. Concurrent samplers must each own their rng.
@@ -334,10 +332,7 @@ def sample_batch(ds: InteractionDataset, batch_size: int, rng: np.random.Generat
         cand = rng.integers(0, ds.num_items, size=unresolved.size)
         neg[unresolved] = cand
         keys = users[unresolved] * np.int64(ds.num_items) + cand
-        pos_at = np.searchsorted(ds._train_keys, keys)
-        pos_at = np.minimum(pos_at, len(ds._train_keys) - 1)
-        still_bad = ds._train_keys[pos_at] == keys
-        unresolved = unresolved[still_bad]
+        unresolved = unresolved[_in_sorted(ds._train_keys, keys)]
     for b in unresolved:
         # the lowest item the user has not interacted with: the first gap in
         # the user's sorted slice of the train keys
@@ -345,12 +340,11 @@ def sample_batch(ds: InteractionDataset, batch_size: int, rng: np.random.Generat
         lo, hi = np.searchsorted(ds._train_keys, [base, base + ds.num_items])
         items = ds._train_keys[lo:hi] - base
         if len(items) >= ds.num_items:
-            raise NoValidNegativeError(
-                f"user {users[b]} has interacted with all {ds.num_items} items"
-            )
+            raise NoValidNegativeError(f"user {users[b]} has interacted with all "
+                                       f"{ds.num_items} items")
         gaps = np.flatnonzero(items != np.arange(len(items)))
         neg[b] = gaps[0] if gaps.size else len(items)
-    return TrainBatch(np.stack([users, pos, neg], axis=1))
+    return np.stack([users, pos, neg], axis=1)
 
 
 def save_dataset(ds: InteractionDataset, out_dir, manifest_extra: dict | None = None) -> None:

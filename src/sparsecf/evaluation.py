@@ -5,6 +5,12 @@ seen in training are skipped without disturbing the ranks of the
 remaining items, and score ties break toward the lower item index so
 results are reproducible across runs and platforms.
 
+Every per-user fact comes from the dataset's two sorted key arrays
+(user * num_items + item, one per split): the train keys give the items
+to exclude, the test keys the test users, their counts and, by binary
+search, the relevance of each top-k item. Both are set operations, so
+neither depends on the order of the edges in a file.
+
 Only the top k of each ranking is built, never the full order: train
 items are scored -inf so they sort after every remaining item,
 `np.partition` finds each row's k-th largest score, and the items at or
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import InteractionDataset
+from .data import InteractionDataset, _in_sorted
 from .embeddings import EmbeddingTable, SparseMask, apply_mask
 from .models import BackboneConfig, combined_embeddings, score_matrix
 
@@ -53,23 +59,6 @@ class SparsityProfile:
     group_sizes: list = field(default_factory=list)
 
 
-def _user_item_lists(edges: np.ndarray, num_users: int) -> tuple:
-    """Items per user as (sorted-by-user items, indptr), CSR style."""
-    order = np.argsort(edges[:, 0], kind="stable")
-    items = edges[order, 1]
-    counts = np.bincount(edges[:, 0], minlength=num_users)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return items, indptr
-
-
-def _chunk_items(items: np.ndarray, indptr: np.ndarray, users: np.ndarray) -> tuple:
-    """(row, item) pairs of the listed users' items; row indexes users."""
-    counts = indptr[users + 1] - indptr[users]
-    rows = np.repeat(np.arange(len(users)), counts)
-    first = np.repeat(indptr[users] - np.cumsum(counts) + counts, counts)
-    return rows, items[first + np.arange(len(rows))]
-
-
 def evaluate_combined(
     combined: np.ndarray,
     ds: InteractionDataset,
@@ -86,9 +75,11 @@ def evaluate_combined(
     if ds.num_test == 0:
         raise ValueError("dataset has no test interactions")
     num_items = ds.num_items
-    test_users = np.unique(ds.test_edges[:, 0])
-    train_items, train_ptr = _user_item_lists(ds.train_edges, ds.num_users)
-    test_items, test_ptr = _user_item_lists(ds.test_edges, ds.num_users)
+    # row pointers: where each user's keys start, and where the last ends
+    user_starts = np.arange(ds.num_users + 1) * np.int64(num_items)
+    train_ptr = np.searchsorted(ds._train_keys, user_starts)
+    test_counts = np.diff(np.searchsorted(ds._test_keys, user_starts))
+    test_users = np.flatnonzero(test_counts)
     kk = min(k, num_items)
     gains = 1.0 / np.log2(np.arange(1, kk + 1) + 1.0)
     # idcg[m] = best possible DCG with m relevant items, m in [0, kk]
@@ -103,8 +94,12 @@ def evaluate_combined(
         finite = np.isfinite(scores).all(axis=1)
         if not finite.all():
             raise FloatingPointError(f"non-finite score for user {chunk[np.argmin(finite)]}")
-        # train items sort after every remaining item, so they take no rank
-        scores[_chunk_items(train_items, train_ptr, chunk)] = -np.inf
+        # train items sort after every remaining item, so they take no rank;
+        # at lays the chunk's runs of train keys end to end
+        n_train = train_ptr[chunk + 1] - train_ptr[chunk]
+        at = np.repeat(train_ptr[chunk] - np.cumsum(n_train) + n_train, n_train)
+        at += np.arange(len(at))
+        scores[np.repeat(np.arange(len(chunk)), n_train), ds._train_keys[at] % num_items] = -np.inf
         # every item scoring at least the kk-th largest score; more than kk
         # per row only on a tie at that threshold. The copy frees the
         # partitioned block instead of keeping it alive through a view.
@@ -120,13 +115,11 @@ def evaluate_combined(
         rank = np.arange(len(rows)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
         top = order[rank < kk]
         top_items = items[top].reshape(len(chunk), kk)
-        relevant = np.zeros(scores.shape, dtype=bool)
-        relevant[_chunk_items(test_items, test_ptr, chunk)] = True
         # a train item (never a test item) takes a top slot only when fewer
         # than kk items remain, and is never relevant
-        hit = np.take_along_axis(relevant, top_items, axis=1)
+        hit = _in_sorted(ds._test_keys, chunk[:, None] * np.int64(num_items) + top_items)
         dcg = np.where(hit, gains, 0.0).sum(axis=1)
-        n_test = np.diff(test_ptr)[chunk]
+        n_test = test_counts[chunk]
         hits = hit.sum(axis=1)
         recall_sum += float((hits / n_test).sum())
         ndcg_sum += float((dcg / idcg[np.minimum(n_test, kk)]).sum())

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .data import InteractionDataset, TrainBatch
+from .data import InteractionDataset
 from .embeddings import EmbeddingTable
 
 BACKBONES = ("mf", "lightgcn")
@@ -137,23 +137,24 @@ def _incidence(rows: np.ndarray, num_rows: int) -> sp.csc_matrix:
     return sp.csc_matrix((np.ones(n), rows, np.arange(n + 1)), shape=(num_rows, n))
 
 
-def bpr_loss_and_grad(cfg: BackboneConfig, table: EmbeddingTable, batch: TrainBatch) -> tuple:
+def bpr_loss_and_grad(cfg: BackboneConfig, table: EmbeddingTable, batch: np.ndarray) -> tuple:
     """BPR loss and its dense gradient with respect to the table.
 
-    Loss is mean softplus(-x) over the batch with x = e_u . (e_i - e_j)
-    in combined space, plus l2_reg * mean(|e_u|^2 + |e_i|^2 + |e_j|^2)
-    on the base rows of each triple. The weights are read as stored: a
-    masked model is its table with the inactive entries held at exactly
-    zero (see embeddings). The gradient treats every entry as free,
-    including those zeros, so growth can rank them.
+    batch is a (B, 3) int64 array of (user, positive item, negative item)
+    rows, as sample_batch draws them. Loss is mean softplus(-x) over the
+    batch with x = e_u . (e_i - e_j) in combined space, plus
+    l2_reg * mean(|e_u|^2 + |e_i|^2 + |e_j|^2) on the base rows of each
+    triple. The weights are read as stored: a masked model is its table
+    with the inactive entries held at exactly zero (see embeddings). The
+    gradient treats every entry as free, including those zeros, so growth
+    can rank them.
     """
-    if len(batch) == 0:
+    b = len(batch)
+    if b == 0:
         raise ValueError("batch is empty")
     weights = table.weights
     num_users = table.num_users
-    b = len(batch)
-    rows = np.concatenate([batch.users, batch.pos_items + num_users,
-                           batch.neg_items + num_users])
+    rows = (batch + (0, num_users, num_users)).T.ravel()
     # base (and for LightGCN combined) rows of users, positives, negatives
     base = weights[rows]
     combined = combined_embeddings(cfg, weights)
@@ -179,7 +180,7 @@ def bpr_loss_and_grad(cfg: BackboneConfig, table: EmbeddingTable, batch: TrainBa
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise FloatingPointError(
-            f"non-finite loss for triple {tuple(batch.triples[bad].tolist())}"
+            f"non-finite loss for triple {tuple(batch[bad].tolist())}"
         )
     loss = float(per_triple.mean())
 

@@ -105,13 +105,25 @@ class RunConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError(f"sparsity must be in [0, 1), got {self.sparsity}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.eval_every is not None and self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.eval_k < 1:
-            raise ValueError(f"eval_k must be >= 1, got {self.eval_k}")
+        for name, low in (("batch_size", 1), ("eval_every", 1), ("eval_k", 1), ("dim", 1),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:  # eval_every may be None
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         self.schedule()  # checks rho0, delta_t, t_end and decay, for every method
+        # the rules of the backbone and the optimizer, each checked by its owner
+        for name, check in (
+            ("backbone", lambda: BackboneConfig(kind=self.backbone)),
+            ("num_layers", lambda: BackboneConfig(layers=self.num_layers)),
+            ("l2_reg", lambda: BackboneConfig(l2_reg=self.l2_reg)),
+            ("optimizer", lambda: OptimizerState(self.optimizer, 1.0)),
+            ("lr", lambda: OptimizerState("sgd", self.lr)),
+        ):
+            try:
+                check()
+            except ValueError as exc:
+                # the owner's message starts with the name of its own parameter
+                raise ValueError(f"{name} {str(exc).split(' ', 1)[1]}") from None
 
     @property
     def effective_sparsity(self) -> float:

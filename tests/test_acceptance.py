@@ -19,7 +19,6 @@ from sparsecf import (
     EmbeddingTable,
     ExplorationSchedule,
     RunConfig,
-    TrainBatch,
     bpr_loss_and_grad,
     generate_interactions,
     init_mask,
@@ -269,7 +268,7 @@ def test_04_gradient_check():
                 rng.integers(0, ni, size=5),
                 rng.integers(0, ni, size=5),
             ]).astype(np.int64)
-            batch = TrainBatch(triples)
+            batch = triples
             _, grad = bpr_loss_and_grad(cfg, table, batch)
             num = _numeric_grad(cfg, table, batch)
             rel = np.abs(grad - num) / np.maximum(np.abs(num), 1e-8)

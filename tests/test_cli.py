@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sparsecf import make_dataset, save_dataset
 from sparsecf.cli import SweepSpec, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,6 +150,32 @@ def test_train_rejects_eval_k_zero_before_training(data_dir, tmp_path, capsys):
     assert rc == 2
     assert "eval_k must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--backbone", "gcn"], "backbone must be one of ('mf', 'lightgcn'), got 'gcn'"),
+    (["--optimizer", "rmsprop"], "optimizer must be 'sgd' or 'adam', got 'rmsprop'"),
+    (["--num-layers", "-1"], "num_layers must be >= 0, got -1"),
+    (["--l2-reg", "-1"], "l2_reg must be >= 0, got -1.0"),
+    (["--lr", "0"], "lr must be positive, got 0.0"),
+    (["--dim", "0"], "dim must be >= 1, got 0"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+])
+def test_train_rejects_an_out_of_range_flag_before_loading_data(tmp_path, capsys, flags,
+                                                                message):
+    # the data directory does not exist: the config is checked first
+    rc = main(["train", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "r"),
+               *flags])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_train_user_with_every_item_exits_two(tmp_path, capsys):
+    ds = make_dataset(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0)], [(1, 1)])
+    save_dataset(ds, tmp_path / "d")
+    rc = run_train(tmp_path / "d", tmp_path / "r")
+    assert rc == 2
+    assert "error: user 0 has interacted with all 3 items" in capsys.readouterr().err
 
 
 def test_train_warns_when_dense_gets_sparsity(data_dir, tmp_path, capsys):
@@ -319,6 +346,10 @@ def test_sweep_rejects_unknown_base_key(data_dir, tmp_path, capsys):
     (lambda spec: spec | {"base": spec["base"] | {"dim": "8"}},
      "dim must be of type int, got '8'"),
     (lambda spec: spec | {"sparsities": ["0.5"]}, "sparsity must be of type float, got '0.5'"),
+    (lambda spec: spec | {"base": spec["base"] | {"lr": 0.0}}, "lr must be positive, got 0.0"),
+    (lambda spec: spec | {"base": spec["base"] | {"backbone": "gcn"}},
+     "backbone must be one of ('mf', 'lightgcn'), got 'gcn'"),
+    (lambda spec: spec | {"seeds": [-1]}, "seed must be >= 0, got -1"),
 ])
 def test_sweep_rejects_a_malformed_spec(data_dir, tmp_path, capsys, edit, message):
     spec = sweep_spec(tmp_path, data_dir)

@@ -95,6 +95,27 @@ def test_make_dataset_rejects_bad_edges():
         make_dataset(2, 2, [(0, 0)], [(0, 0)])
     with pytest.raises(ValueError, match="out of range"):
         make_dataset(2, 2, [(0, 5)])
+    with pytest.raises(ValueError, match="do not fit in int64"):
+        make_dataset(2**32, 2**31, [(0, 0)])
+
+
+@pytest.mark.parametrize("loader", [load_interactions, lambda p: load_dataset(p.parent)])
+def test_index_beyond_int64_names_file_and_line(tmp_path, loader):
+    path = write(tmp_path, "0 0\n99999999999999999999 1\n", name="train.txt")
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"{path}: line 2: user index 99999999999999999999 is not below 2**63")):
+        loader(path)
+
+
+@pytest.mark.parametrize("text", ["0 0\n4294967296 0\n0 4294967295\n", f"{2**63 - 1} 0\n"])
+@pytest.mark.parametrize("loader", [load_interactions, lambda p: load_dataset(p.parent)])
+def test_index_space_beyond_int64_keys_is_rejected(tmp_path, loader, text):
+    # user * num_items + item would wrap: no key may be computed, no edge dropped
+    path = write(tmp_path, text, name="train.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: keys of ")):
+            loader(path)
 
 
 def test_split_ceiling_and_single_edge_guard():
@@ -142,7 +163,7 @@ def test_split_every_user_keeps_a_train_edge(degrees, ratio, seed):
 def test_sample_batch_single_valid_negative():
     ds = make_dataset(1, 2, [(0, 0)])
     batch = sample_batch(ds, 4, np.random.default_rng(0))
-    assert np.array_equal(batch.triples, np.array([[0, 0, 1]] * 4))
+    assert np.array_equal(batch, np.array([[0, 0, 1]] * 4))
 
 
 def test_sample_batch_no_valid_negative():
@@ -154,7 +175,7 @@ def test_sample_batch_no_valid_negative():
 def test_sample_batch_deterministic(small_split):
     a = sample_batch(small_split, 64, np.random.default_rng(42))
     b = sample_batch(small_split, 64, np.random.default_rng(42))
-    assert np.array_equal(a.triples, b.triples)
+    assert np.array_equal(a, b)
 
 
 def test_sample_batch_negatives_never_positive(small_split):
@@ -164,10 +185,10 @@ def test_sample_batch_negatives_never_positive(small_split):
     seen = 0
     while seen < 100_000:
         batch = sample_batch(small_split, 10_000, rng)
-        pos_keys = batch.users * np.int64(small_split.num_items) + batch.pos_items
+        pos_keys = batch[:, 0] * np.int64(small_split.num_items) + batch[:, 1]
         idx = np.minimum(np.searchsorted(keys_sorted, pos_keys), last)
         assert np.all(keys_sorted[idx] == pos_keys)
-        neg_keys = batch.users * np.int64(small_split.num_items) + batch.neg_items
+        neg_keys = batch[:, 0] * np.int64(small_split.num_items) + batch[:, 2]
         idx = np.minimum(np.searchsorted(keys_sorted, neg_keys), last)
         assert not np.any(keys_sorted[idx] == neg_keys)
         seen += len(batch)
@@ -177,7 +198,7 @@ def test_sample_batch_positive_marginals(small_split):
     # (u, i) pairs are drawn uniformly over train edges
     rng = np.random.default_rng(3)
     batch = sample_batch(small_split, 50_000, rng)
-    counts = np.bincount(batch.users, minlength=small_split.num_users)
+    counts = np.bincount(batch[:, 0], minlength=small_split.num_users)
     degrees = small_split.train_degrees("users")
     expected = degrees / degrees.sum() * len(batch)
     assert np.all(np.abs(counts - expected) < 5 * np.sqrt(expected + 1))
@@ -191,6 +212,7 @@ def test_save_load_round_trip(tmp_path, tiny_ds):
     assert np.array_equal(back.train_edges, tiny_ds.train_edges)
     assert np.array_equal(back.test_edges, tiny_ds.test_edges)
     assert np.array_equal(back._train_keys, tiny_ds._train_keys)
+    assert np.array_equal(back._test_keys, tiny_ds._test_keys)
 
 
 def test_save_is_deterministic(tmp_path, tiny_ds):
@@ -227,7 +249,7 @@ def test_sample_batch_fallback_takes_lowest_free_item(monkeypatch):
     ds = make_dataset(3, 5, [(0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
     batch = sample_batch(ds, 64, np.random.default_rng(0))
     lowest_free = {0: 2, 1: 0, 2: 3}
-    assert all(neg == lowest_free[u] for u, neg in zip(batch.users, batch.neg_items))
+    assert all(neg == lowest_free[u] for u, _, neg in batch)
 
 
 def test_load_dataset_keeps_an_empty_test_split(tmp_path):
@@ -270,7 +292,8 @@ def parse_pair_lines_reference(path):
     """(edges, declared sizes) of a pair-lines file, one line at a time.
 
     data._parse_edges before it handed pair-lines texts to np.loadtxt,
-    restricted to the pair-lines format.
+    restricted to the pair-lines format, with the later rule that an index
+    is below 2**63.
     """
     def parse_index(token, where, what):
         try:
@@ -279,6 +302,8 @@ def parse_pair_lines_reference(path):
             raise DataFormatError(f"{where}: cannot parse {what} index {token!r}") from None
         if value < 0:
             raise DataFormatError(f"{where}: negative {what} index {value}")
+        if value >= 2**63:
+            raise DataFormatError(f"{where}: {what} index {value} is not below 2**63")
         return value
 
     text = Path(path).read_text(encoding="utf-8")

@@ -74,6 +74,22 @@ def test_complete_miss_scores_zero():
     assert rep.recall == 0.0 and rep.ndcg == 0.0 and rep.hr == 0.0
 
 
+def test_exclusion_and_relevance_ignore_edge_order():
+    # edges listed out of user and item order; every item scores by index
+    train = [(2, 4), (0, 3), (1, 0), (0, 1), (2, 0)]
+    test = [(1, 5), (2, 2), (0, 5), (1, 3), (0, 0)]
+    scores = np.tile(np.arange(6.0, 0.0, -1.0), (3, 1))
+    rep = eval_scores(scores, make_dataset(3, 6, train, test), 3)
+    # top 3 without train items: user 0 -> 0, 2, 4 (hit 0 of {0, 5}),
+    # user 1 -> 1, 2, 3 (hit 3 of {3, 5}), user 2 -> 1, 2, 3 (hit 2 of {2})
+    g2, g3 = 1.0 / math.log2(3.0), 1.0 / math.log2(4.0)
+    assert rep.recall == pytest.approx((0.5 + 0.5 + 1.0) / 3.0, abs=1e-15)
+    assert rep.hr == 1.0
+    want = (1.0 / (1.0 + g2) + g3 / (1.0 + g2) + g2) / 3.0
+    assert rep.ndcg == pytest.approx(want, abs=1e-15)
+    assert rep == eval_scores(scores, make_dataset(3, 6, sorted(train), sorted(test)), 3)
+
+
 def test_train_items_are_skipped_not_penalized():
     # the two top-scoring items are train items; the test item is next
     ds = make_dataset(1, 4, [(0, 0), (0, 1)], [(0, 2)])

@@ -6,7 +6,6 @@ import pytest
 from sparsecf import (
     BackboneConfig,
     EmbeddingTable,
-    TrainBatch,
     bpr_loss_and_grad,
     build_adjacency,
     combined_embeddings,
@@ -169,7 +168,7 @@ def test_scatter_add_rows_matches_add_at(rng):
 
 
 def batch_of(*triples):
-    return TrainBatch(np.asarray(triples, dtype=np.int64))
+    return np.asarray(triples, dtype=np.int64)
 
 
 def test_bpr_loss_zero_table_is_ln2():
@@ -239,14 +238,14 @@ def test_bpr_rejects_empty_batch():
     t = table_of(1, 2, np.zeros((3, 2)))
     cfg = BackboneConfig(kind="mf")
     with pytest.raises(ValueError, match="empty"):
-        bpr_loss_and_grad(cfg, t, TrainBatch(np.empty((0, 3), dtype=np.int64)))
+        bpr_loss_and_grad(cfg, t, np.empty((0, 3), dtype=np.int64))
 
 
 def add_at_reference_grad(cfg, weights, num_users, batch):
     """BPR gradient with both scatters written as np.add.at."""
-    users = batch.users
-    pos = batch.pos_items + num_users
-    neg = batch.neg_items + num_users
+    users = batch[:, 0]
+    pos = batch[:, 1] + num_users
+    neg = batch[:, 2] + num_users
     rows = np.concatenate([users, pos, neg])
     b = len(batch)
     combined = combined_embeddings(cfg, weights)

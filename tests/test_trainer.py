@@ -79,6 +79,11 @@ def test_run_config_validation():
         RunConfig(method="rp", decay="bogus")
     with pytest.raises(ValueError, match="rho0"):
         RunConfig(method="rp", rho0=5.0)
+    # the owners' range rules, named by the RunConfig field
+    for field, value in (("backbone", "gcn"), ("num_layers", -1), ("l2_reg", -1e-4),
+                         ("optimizer", "rmsprop"), ("lr", 0.0), ("dim", 0), ("seed", -1)):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            RunConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -380,9 +385,9 @@ def bpr_loss_and_grad_reference(cfg, table, batch):
     incidence matrix built from COO."""
     weights = table.weights
     num_users = table.num_users
-    users = batch.users
-    pos = batch.pos_items + num_users
-    neg = batch.neg_items + num_users
+    users = batch[:, 0]
+    pos = batch[:, 1] + num_users
+    neg = batch[:, 2] + num_users
     b = len(batch)
     combined = combined_embeddings(cfg, weights)
     e_u = combined[users]
