@@ -67,11 +67,17 @@ class SweepSpec:
             if not isinstance(payload, dict):
                 raise ValueError("a sweep spec must be a JSON object, "
                                  f"got {type(payload).__name__}")
+            unknown = set(payload) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ValueError(f"unknown spec keys: {sorted(unknown)}")
             for key in ("sparsities", "methods", "seeds"):
                 if key not in payload:
                     raise ValueError(f"missing key {key!r}")
                 if not isinstance(payload[key], list):
                     raise ValueError(f"{key!r} must be a list, got {type(payload[key]).__name__}")
+            for key in ("data", "out"):
+                if not isinstance(payload.get(key, ""), str):
+                    raise ValueError(f"{key!r} must be a string, got {type(payload[key]).__name__}")
             base = payload.get("base", {})
             base_cfg = _config_from(base, "'base'")
             per_cell = sorted(set(base) & set(_CELL_KEYS))
@@ -285,6 +291,9 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out or spec.out or "sweep")
     if data_dir is None:
         print("error: sweep needs a data dir (--data or spec 'data')", file=sys.stderr)
+        return 2
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
     cells = spec.cells()
     jobs = []

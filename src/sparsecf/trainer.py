@@ -165,7 +165,6 @@ class RunArtifacts:
     events: list = field(default_factory=list)
     losses: list = field(default_factory=list)  # (t, loss) at learning iterations
     cost: CostReport | None = None
-    run_dir: Path | None = None
     aborted: bool = False
 
     @property
@@ -216,7 +215,6 @@ def _write_run_dir(out_dir, art: RunArtifacts, ds: InteractionDataset, cfg: RunC
     (out / "split_manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     if not art.aborted:
         marker.write_text(_completion_text(art.config), encoding="utf-8")
-    art.run_dir = out
 
 
 def is_complete(run_dir, cfg: RunConfig) -> bool:

@@ -1,12 +1,14 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from sparsecf import make_dataset, save_dataset
+from sparsecf import load_dataset, make_dataset, save_dataset, train
 from sparsecf.cli import SweepSpec, main
 
 ROOT = Path(__file__).resolve().parents[1]
+DECAYS = ("cosine", "linear", "none")
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +352,10 @@ def test_sweep_rejects_unknown_base_key(data_dir, tmp_path, capsys):
     (lambda spec: spec | {"base": spec["base"] | {"backbone": "gcn"}},
      "backbone must be one of ('mf', 'lightgcn'), got 'gcn'"),
     (lambda spec: spec | {"seeds": [-1]}, "seed must be >= 0, got -1"),
+    (lambda spec: spec | {"decays": ["cosine", "none"]}, "unknown spec keys: ['decays']"),
+    (lambda spec: spec | {"seed": [1, 2]}, "unknown spec keys: ['seed']"),
+    (lambda spec: spec | {"out": 5}, "'out' must be a string, got int"),
+    (lambda spec: spec | {"data": ["x"]}, "'data' must be a string, got list"),
 ])
 def test_sweep_rejects_a_malformed_spec(data_dir, tmp_path, capsys, edit, message):
     spec = sweep_spec(tmp_path, data_dir)
@@ -375,6 +381,17 @@ def test_sweep_rejects_cells_sharing_a_run_dir(data_dir, tmp_path, capsys, spars
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_worker(data_dir, tmp_path, capsys, workers):
+    spec = sweep_spec(tmp_path, data_dir)
+    rc = main(["sweep", str(spec), "--out", str(tmp_path / "sweep"), "--workers", workers])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"error: --workers must be >= 1, got {workers}" in captured.err
+    assert "cell method=" not in captured.out
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_rejects_an_unknown_method_before_training(data_dir, tmp_path, capsys):
     spec = sweep_spec(tmp_path, data_dir, methods=["rp", "lottery"])
     rc = main(["sweep", str(spec), "--out", str(tmp_path / "sweep")])
@@ -386,9 +403,32 @@ def test_sweep_rejects_an_unknown_method_before_training(data_dir, tmp_path, cap
 
 
 def test_committed_sweep_specs_load():
-    for name in ("method_comparison.json", "method_comparison_quick.json"):
-        spec = SweepSpec.from_file(ROOT / "scripts" / name)
-        assert len(spec.cells()) == 3 * 4 * 5
+    paths = sorted((ROOT / "scripts").glob("*.json"))
+    assert sorted((ROOT / "scripts").iterdir()) == paths  # scripts/ holds only sweep specs
+    specs = {path.stem: SweepSpec.from_file(path) for path in paths}
+    for name in ("method_comparison", "method_comparison_quick"):
+        assert len(specs[name].cells()) == 3 * 4 * 5
+    cosine = specs["decay_ablation_cosine"]
+    assert cosine.cells() == [(0.5, "dsl", seed) for seed in range(5)]
+    for decay in DECAYS:
+        spec = specs[f"decay_ablation_{decay}"]
+        assert spec.base.decay == decay
+        assert spec.out == f"results/decay_ablation/{decay}"
+        # the three ablation specs differ only in base.decay and out
+        assert replace(spec, base=replace(spec.base, decay="cosine"), out=cosine.out) == cosine
+
+
+@pytest.mark.parametrize("decay", DECAYS)
+def test_decay_ablation_spec_trains_at_test_size(data_dir, decay):
+    spec = SweepSpec.from_file(ROOT / "scripts" / f"decay_ablation_{decay}.json")
+    sparsity, method, seed = spec.cells()[0]
+    cfg = replace(spec.base, method=method, sparsity=sparsity, seed=seed,
+                  data_dir=str(data_dir), dim=8, t_end=40, delta_t=10, batch_size=32)
+    art = train(cfg, load_dataset(data_dir))
+    assert not art.aborted
+    assert art.config["decay"] == decay
+    assert art.final_metrics["iteration"] == 40
+    assert len(art.events) == 3  # exploration at t = 10, 20, 30
 
 
 # ---------------------------------------------------------------------------
