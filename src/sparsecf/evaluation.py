@@ -11,12 +11,17 @@ to exclude, the test keys the test users, their counts and, by binary
 search, the relevance of each top-k item. Both are set operations, so
 neither depends on the order of the edges in a file.
 
-Only the top k of each ranking is built, never the full order: train
-items are scored -inf so they sort after every remaining item,
-`np.partition` finds each row's k-th largest score, and the items at or
-above it (more than k only on a tie at that score) are sorted by
-descending score, then ascending item index. The first k of them are
-exactly the first k of the full stable sort. Scores must be finite.
+Only the top k of each ranking is built, never the full order. Train
+items are scored -inf, so they sort after every remaining item. Each
+score row is then folded into G >= k groups (group j holds items j,
+j + G, j + 2G, ...) by an elementwise maximum over its contiguous slices
+of width G, and `np.partition` of the short row of group maxima gives
+its k-th largest, lb. The k groups with the largest maxima hold k
+distinct items that score at least lb, so every item of the top k
+scores at least lb. The items at or above lb (between k and 2k per row
+on the trained desk models) are sorted by row and descending score; the flat order
+already puts ties at the lower item index first. The first k of each row
+are exactly the first k of the full stable sort. Scores must be finite.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .embeddings import EmbeddingTable, SparseMask, apply_mask
 from .models import BackboneConfig, combined_embeddings, score_matrix
 
 SIDES = ("users", "items")
+# items per group of the group-max bound (fewer when k needs more groups)
+FOLD = 8
 
 
 @dataclass
@@ -72,6 +79,8 @@ def evaluate_combined(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if user_batch < 1:
+        raise ValueError(f"user_batch must be >= 1, got {user_batch}")
     if ds.num_test == 0:
         raise ValueError("dataset has no test interactions")
     num_items = ds.num_items
@@ -81,6 +90,8 @@ def evaluate_combined(
     test_counts = np.diff(np.searchsorted(ds._test_keys, user_starts))
     test_users = np.flatnonzero(test_counts)
     kk = min(k, num_items)
+    # at least kk groups, each holding at least one item (kk <= num_items)
+    groups = max(kk, -(-num_items // FOLD))
     gains = 1.0 / np.log2(np.arange(1, kk + 1) + 1.0)
     # idcg[m] = best possible DCG with m relevant items, m in [0, kk]
     idcg = np.concatenate([[0.0], np.cumsum(gains)])
@@ -95,20 +106,29 @@ def evaluate_combined(
         if not finite.all():
             raise FloatingPointError(f"non-finite score for user {chunk[np.argmin(finite)]}")
         # train items sort after every remaining item, so they take no rank;
-        # at lays the chunk's runs of train keys end to end
+        # at lays the chunk's runs of train keys end to end, and a key
+        # user * num_items + item becomes the flat position row * num_items + item
         n_train = train_ptr[chunk + 1] - train_ptr[chunk]
         at = np.repeat(train_ptr[chunk] - np.cumsum(n_train) + n_train, n_train)
         at += np.arange(len(at))
-        scores[np.repeat(np.arange(len(chunk)), n_train), ds._train_keys[at] % num_items] = -np.inf
-        # every item scoring at least the kk-th largest score; more than kk
-        # per row only on a tie at that threshold. The copy frees the
-        # partitioned block instead of keeping it alive through a view.
-        tau = np.partition(scores, num_items - kk, axis=1)[:, num_items - kk].copy()
-        flat = np.flatnonzero(scores >= tau[:, None])
+        shift = np.repeat((chunk - np.arange(len(chunk))) * np.int64(num_items), n_train)
+        scores.put(ds._train_keys[at] - shift, -np.inf)
+        # group j's maximum over items j, j + groups, ...: one pass over the
+        # row's slices, the last one ragged
+        gmax = scores[:, :groups].copy()
+        for lo in range(groups, num_items, groups):
+            width = min(groups, num_items - lo)
+            np.maximum(gmax[:, :width], scores[:, lo : lo + width], out=gmax[:, :width])
+        # lb: the kk-th largest group maximum, at most the kk-th largest score
+        gmax.partition(groups - kk, axis=1)
+        lb = gmax[:, groups - kk]
+        flat = np.flatnonzero(scores >= lb[:, None])
         rows, items = np.divmod(flat, num_items)
-        vals = scores.ravel()[flat]
-        # by row, then descending score, ties toward the lower item index
-        order = np.lexsort((items, -vals, rows))
+        # by row, then descending score; the sort is stable, so ties keep
+        # the flat order, which is ascending by item within a row
+        order = np.lexsort((-scores.reshape(-1)[flat], rows))
+        # the next chunk's block is made without this one alive
+        del scores
         # rows is already in row order, so it is also the row of each
         # sorted position; rank is the position within that row
         per_row = np.bincount(rows, minlength=len(chunk))

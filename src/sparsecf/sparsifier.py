@@ -94,21 +94,39 @@ class ExplorationEvent:
         }
 
 
+def _largest(values: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the k largest values, 1 <= k <= len(values).
+
+    np.partition finds the k-th largest value; every value above it is
+    taken, then the values equal to it in ascending index order until k
+    are taken. That is the first k of a stable descending sort, without
+    sorting.
+    """
+    kth = np.partition(values, len(values) - k)[len(values) - k]
+    chosen = values > kth
+    tied = np.flatnonzero(values == kth)
+    chosen[tied[: k - np.count_nonzero(chosen)]] = True
+    return chosen
+
+
 def select_prune(table: EmbeddingTable, mask: SparseMask, rho_t: float) -> np.ndarray:
     """Flat positions of the floor(rho_t * active) smallest-|weight| active
     entries.
 
-    Ties resolve toward the smaller row-major index. Result is ascending.
+    The threshold is the k-th smallest magnitude, found by np.partition
+    over the mask's cached active index. Ties resolve toward the smaller
+    row-major index. Result is ascending.
     """
     if not 0.0 <= rho_t <= 1.0:
         raise ValueError(f"rho_t must be in [0, 1], got {rho_t}")
-    active = np.flatnonzero(mask.bits.ravel())
-    k = math.floor(rho_t * len(active))
+    index = mask._active_index()
+    mags = np.abs(table.weights.reshape(-1)[index])
+    k = math.floor(rho_t * len(mags))
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    mags = np.abs(table.weights.ravel()[active])
-    order = np.argsort(mags, kind="stable")
-    return np.sort(active[order[:k]])
+    chosen = np.flatnonzero(_largest(-mags, k))
+    # slice(None): every entry is active, so positions are flat indices
+    return chosen if isinstance(index, slice) else index[chosen]
 
 
 def select_grow(
@@ -117,8 +135,9 @@ def select_grow(
     """Flat positions of the k inactive entries with largest |gradient|.
 
     Positions listed in exclude (the ones pruned in the same event) are
-    not eligible. Ties resolve toward the smaller row-major index. Result
-    is ascending.
+    not eligible. The threshold is the k-th largest eligible magnitude,
+    found by np.partition. Ties resolve toward the smaller row-major
+    index. Result is ascending.
     """
     eligible = ~mask.bits.ravel()
     if exclude is not None:
@@ -128,9 +147,7 @@ def select_grow(
         raise ValueError(f"cannot grow {k} entries, only {len(inactive)} eligible")
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    mags = np.abs(grad.ravel()[inactive])
-    order = np.argsort(-mags, kind="stable")
-    return np.sort(inactive[order[:k]])
+    return inactive[_largest(np.abs(grad.ravel()[inactive]), k)]
 
 
 def exploration_step(
@@ -173,6 +190,7 @@ def exploration_step(
 def one_shot_magnitude_prune(table: EmbeddingTable, sparsity: float) -> SparseMask:
     """Keep the round(total * (1 - s)) largest-|weight| entries of a table.
 
+    The threshold is the keep-th largest magnitude, found by np.partition.
     Ties keep the smaller row-major index.
     """
     if not 0.0 <= sparsity < 1.0:
@@ -181,7 +199,5 @@ def one_shot_magnitude_prune(table: EmbeddingTable, sparsity: float) -> SparseMa
     keep = target_active_count(total, sparsity)
     if keep < 1:
         raise ValueError(f"sparsity {sparsity} keeps no entries")
-    order = np.argsort(-np.abs(table.weights.ravel()), kind="stable")
-    bits = np.zeros(total, dtype=bool)
-    bits[order[:keep]] = True
+    bits = _largest(np.abs(table.weights.ravel()), keep)
     return SparseMask(bits.reshape(table.weights.shape), target_sparsity=sparsity)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,14 @@ def test_evaluate_validates_inputs(rng):
     empty = make_dataset(1, 2, [(0, 0)])
     with pytest.raises(ValueError, match="test"):
         evaluate_combined(rng.normal(size=(3, 2)), empty, 1)
+    split = make_dataset(3, 4, [(0, 0), (1, 1)], [(0, 1), (1, 2), (2, 3)])
+    table = EmbeddingTable(3, 4, 2, rng.normal(size=(7, 2)))
+    mf = BackboneConfig(kind="mf")
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="user_batch"):
+            evaluate_combined(table.weights, split, 2, user_batch=bad)
+        with pytest.raises(ValueError, match="user_batch"):
+            evaluate(mf, table, dense_mask((7, 2)), split, 2, user_batch=bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1e300])
@@ -262,6 +271,70 @@ def test_top_k_selection_matches_full_sort(num_users, num_items, dim, seed, k_ov
     # a DCG sums k gains instead of a full row with zeros between them, so
     # the summation order, and with it the last bit, can differ
     assert rep.ndcg == pytest.approx(ndcg, abs=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_users=st.integers(min_value=3, max_value=6),
+    num_items=st.integers(min_value=41, max_value=400),
+    dim=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+    k=st.integers(min_value=1, max_value=60),
+    user_batch=st.sampled_from([1, 3, 512]),
+    levels=st.sampled_from([2, 1000]),
+)
+def test_top_k_selection_matches_full_sort_across_folds(
+    num_users, num_items, dim, seed, k, user_batch, levels
+):
+    # catalogues long enough to fold into many groups, the last one ragged
+    rng = np.random.default_rng(seed)
+    # 0: no interaction, 1: train, 2: test
+    cells = rng.choice([0, 0, 0, 1, 2], size=(num_users, num_items))
+    # user 0 keeps 1 to k + 1 items after exclusion, one of them a test item,
+    # so its row has no k-th remaining score when fewer than k are left
+    left = rng.choice(num_items, size=min(num_items, rng.integers(1, k + 2)), replace=False)
+    cells[0] = 1
+    cells[0, left] = 0
+    cells[0, left[0]] = 2
+    ds = make_dataset(num_users, num_items, np.argwhere(cells == 1), np.argwhere(cells == 2))
+    # integers: exact scores, with many ties at levels=2 and few at 1000
+    combined = rng.integers(-levels, levels + 1, size=(num_users + num_items, dim + 1))
+    combined = combined.astype(np.float64)
+    # user 1 scores -item (the last column alone), strictly falling with the
+    # item index: only the first item of each group can reach lb, so a bound
+    # taken over fewer than k groups, or from the wrong one, loses an item
+    combined[:num_users, dim] = 0.0
+    combined[1] = 0.0
+    combined[1, dim] = 1.0
+    combined[num_users:, dim] = -np.arange(num_items)
+    # the last user's row is zero, so every one of its scores is equal
+    combined[num_users - 1] = 0.0
+    rep = evaluate_combined(combined, ds, k, user_batch=user_batch)
+    recall, ndcg, hr = full_sort_reference(combined, ds, k, user_batch)
+    assert rep.recall == recall
+    assert rep.hr == hr
+    assert rep.ndcg == pytest.approx(ndcg, abs=1e-15)
+
+
+def test_peak_memory_stays_near_one_score_block():
+    # 600 users x 2000 items, 60 items each, 10 of them held out
+    num_users, num_items = 600, 2000
+    rng = np.random.default_rng(3)
+    picked = np.argsort(rng.random((num_users, num_items)), axis=1)[:, :60]
+    train = np.column_stack([np.repeat(np.arange(num_users), 50), picked[:, 10:].ravel()])
+    test = np.column_stack([np.repeat(np.arange(num_users), 10), picked[:, :10].ravel()])
+    ds = make_dataset(num_users, num_items, train, test)
+    combined = rng.normal(size=(num_users + num_items, 16))
+    block = 512 * num_items * 8  # one chunk's float64 score block
+    tracemalloc.start()
+    try:
+        evaluate_combined(combined, ds, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the block plus temporaries a fraction of its size, with no second
+    # block-sized array alive next to it
+    assert peak < 1.5 * block, f"peak {peak / block:.2f} score blocks"
 
 
 # ---------------------------------------------------------------------------
