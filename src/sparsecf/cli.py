@@ -11,13 +11,14 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .costs import memory_bytes
-from .data import DataFormatError, load_dataset, load_interactions, save_dataset, split_holdout
+from .data import (DataFormatError, _json_text, load_dataset, load_interactions, save_dataset,
+                   split_holdout)
 from .embeddings import load_checkpoint, target_active_count
 from .evaluation import popularity_sparsity_correlation, sparsity_profile
 from .synth import generate_interactions
@@ -36,8 +37,8 @@ _CELL_KEYS = ("method", "sparsity", "seed", "data_dir", "run_id")
 @dataclass
 class SweepSpec:
     """A cross-product of sparsity levels, methods, and seeds over one base
-    config, enumerated in declaration order (levels outermost). Each cell
-    needs a run directory of its own."""
+    config, enumerated in declaration order (levels outermost). cmd_sweep
+    checks each cell's config and gives it a run directory of its own."""
 
     base: RunConfig
     sparsities: list
@@ -49,15 +50,6 @@ class SweepSpec:
     def __post_init__(self):
         if not self.sparsities or not self.methods or not self.seeds:
             raise ValueError("sparsities, methods, and seeds must all be non-empty")
-        seen = {}
-        for cell in self.cells():
-            # RunConfig checks each cell's sparsity, method and seed before any cell trains
-            replace(self.base, sparsity=cell[0], method=cell[1], seed=cell[2])
-            name = _cell_dir_name(*cell)
-            if name in seen:
-                raise ValueError(f"sweep cells {seen[name]} and {cell} share the run "
-                                 f"directory {name!r}")
-            seen[name] = cell
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
@@ -99,11 +91,6 @@ class SweepSpec:
         return [
             (s, m, seed) for s in self.sparsities for m in self.methods for seed in self.seeds
         ]
-
-
-def _cell_dir_name(sparsity, method: str, seed) -> str:
-    """Name of a sweep cell's run directory under <out>/runs."""
-    return f"{method}-s{sparsity:g}-seed{seed}"
 
 
 def _config_from(values, what: str) -> RunConfig:
@@ -220,19 +207,18 @@ def _read_final_metrics(path) -> dict:
     return row
 
 
-def _sweep_cell(data_dir: str, cfg_dict: dict, run_dir: str, resume: bool) -> dict:
+def _sweep_cell(cfg: RunConfig, run_dir: str, resume: bool) -> dict:
     """Run (or resume) one sweep cell; never raises, reports status instead.
 
     A cell resumes only from a finished run of the same resolved config.
     """
     run_path = Path(run_dir)
     try:
-        cfg = RunConfig(**cfg_dict)
         done = resume and is_complete(run_path, cfg)
         if done:
             row = _read_final_metrics(run_path / "metrics.csv")
         else:
-            row = train(cfg, load_dataset(data_dir), out_dir=run_path).final_metrics
+            row = train(cfg, load_dataset(cfg.data_dir), out_dir=run_path).final_metrics
         manifest = json.loads((run_path / "split_manifest.json").read_text(encoding="utf-8"))
         total = (manifest["num_users"] + manifest["num_items"]) * cfg.dim
         active = target_active_count(total, cfg.effective_sparsity)
@@ -296,11 +282,20 @@ def cmd_sweep(args) -> int:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
     cells = spec.cells()
-    jobs = []
-    for s, method, seed in cells:
-        cfg = replace(spec.base, method=method, sparsity=s, seed=seed, data_dir=str(data_dir))
-        run_dir = out_dir / "runs" / _cell_dir_name(s, method, seed)
-        jobs.append((str(data_dir), asdict(cfg), str(run_dir), args.resume))
+    jobs, seen = [], {}
+    for cell in cells:
+        s, method, seed = cell
+        try:
+            # RunConfig checks each cell before any cell trains or its name is formatted
+            cfg = replace(spec.base, method=method, sparsity=s, seed=seed, data_dir=str(data_dir))
+            name = f"{method}-s{s:g}-seed{seed}"
+            if name in seen:
+                raise ValueError(f"sweep cells {seen[name]} and {cell} share the run "
+                                 f"directory {name!r}")
+        except ValueError as exc:
+            raise ValueError(f"{args.spec}: {exc}") from None
+        seen[name] = cell
+        jobs.append((cfg, str(out_dir / "runs" / name), args.resume))
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -354,11 +349,8 @@ def cmd_profile(args) -> int:
     out_path = Path(args.out) if args.out else run_dir / "profile.csv"
     write_csv(out_path, PROFILE_COLUMNS, rows)
     summary_path = out_path.with_name(out_path.stem + "_summary.json")
-    summary_path.write_text(
-        json.dumps({"num_groups": args.groups, "spearman": spearman}, indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    summary = {"num_groups": args.groups, "spearman": spearman}
+    summary_path.write_text(_json_text(summary), encoding="utf-8")
     for side in ("users", "items"):
         rho = spearman[side]
         shown = "null" if rho is None else f"{rho:.4f}"

@@ -357,17 +357,24 @@ def save_dataset(ds: InteractionDataset, out_dir, manifest_extra: dict | None = 
         with (out / name).open("wb") as fh:
             fh.write(header)
             fh.write(pairs.encode("ascii"))
+    _write_split_manifest(out, ds, manifest_extra or {})
+
+
+def _json_text(payload: dict) -> str:
+    """The text of every JSON document the package writes: sorted keys,
+    two-space indent, one final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_split_manifest(out_dir: Path, ds: InteractionDataset, extra: dict) -> None:
+    """Write split_manifest.json: the split's four sizes plus the entries of extra."""
     manifest = {
         "num_users": ds.num_users,
         "num_items": ds.num_items,
         "train_edges": ds.num_train,
         "test_edges": ds.num_test,
-    }
-    if manifest_extra:
-        manifest.update(manifest_extra)
-    (out / "split_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    } | extra
+    (out_dir / "split_manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
 
 def load_dataset(data_dir) -> InteractionDataset:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -138,12 +139,13 @@ class OptimizerState:
     mask); regrown entries start from a cold optimizer state.
     """
 
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
+
     kind: str
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
+    step: int = field(default=0, init=False)
     m: np.ndarray | None = field(default=None, init=False, repr=False)
     v: np.ndarray | None = field(default=None, init=False, repr=False)
     _index: np.ndarray | slice | None = field(default=None, init=False, repr=False, compare=False)
@@ -163,6 +165,13 @@ class OptimizerState:
                 full[self._index] = getattr(self, name)
             setattr(self, name, full[index])
         self._index = index
+
+
+def _check_finite(grad: np.ndarray, what: str) -> None:
+    """Raise FloatingPointError naming what and its first non-finite position."""
+    if not np.isfinite(grad).all():
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(grad))[0])
+        raise FloatingPointError(f"non-finite {what} at position {bad}")
 
 
 def masked_step(
@@ -194,9 +203,7 @@ def masked_step(
     """
     if grad.shape != table.weights.shape:
         raise ValueError(f"grad shape {grad.shape} != table shape {table.weights.shape}")
-    if not np.isfinite(grad).all():
-        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(grad))[0])
-        raise FloatingPointError(f"non-finite gradient at position {bad}")
+    _check_finite(grad, "gradient")
     idx = mask._active_index()
     w_flat = table.weights.reshape(-1)
     # under a dense mask these are views, and every update below is in place
@@ -237,9 +244,7 @@ def save_checkpoint(path, table: EmbeddingTable, mask: SparseMask) -> None:
     row-major order. The file is memory_bytes(active, total) plus the
     header line, and identical inputs give identical bytes.
     """
-    sparsity = mask.target_sparsity
-    if sparsity is None:
-        sparsity = 1.0 - mask.active_count / table.total_entries
+    sparsity = mask.sparsity if mask.target_sparsity is None else mask.target_sparsity
     header = {
         "format": CHECKPOINT_FORMAT,
         "num_users": table.num_users,
@@ -250,7 +255,7 @@ def save_checkpoint(path, table: EmbeddingTable, mask: SparseMask) -> None:
     with Path(path).open("wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         fh.write(np.packbits(mask.bits, axis=None).tobytes())
-        fh.write(table.weights[mask.bits].astype("<f8").tobytes())
+        fh.write(table.weights.reshape(-1)[mask._active_index()].astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[EmbeddingTable, SparseMask]:

@@ -66,6 +66,12 @@ class SparsityProfile:
     group_sizes: list = field(default_factory=list)
 
 
+def _require_test_split(ds: InteractionDataset) -> None:
+    """Raise ValueError unless ds holds test interactions to rank against."""
+    if ds.num_test == 0:
+        raise ValueError("dataset has no test interactions")
+
+
 def evaluate_combined(
     combined: np.ndarray,
     ds: InteractionDataset,
@@ -81,8 +87,7 @@ def evaluate_combined(
         raise ValueError(f"k must be >= 1, got {k}")
     if user_batch < 1:
         raise ValueError(f"user_batch must be >= 1, got {user_batch}")
-    if ds.num_test == 0:
-        raise ValueError("dataset has no test interactions")
+    _require_test_split(ds)
     num_items = ds.num_items
     # row pointers: where each user's keys start, and where the last ends
     user_starts = np.arange(ds.num_users + 1) * np.int64(num_items)

@@ -44,25 +44,20 @@ def build_adjacency(ds: InteractionDataset) -> sp.csr_matrix:
     it.
     """
     n = ds.num_users + ds.num_items
-    rows = ds.train_edges[:, 0]
-    cols = ds.train_edges[:, 1] + ds.num_users
-    ones = np.ones(len(rows))
-    adj = sp.coo_matrix(
+    users = ds.train_edges[:, 0]
+    items = ds.train_edges[:, 1] + ds.num_users
+    deg = np.bincount(users, minlength=n) + np.bincount(items, minlength=n)
+    isolated = np.flatnonzero(deg == 0)
+    inv_sqrt = np.zeros(n)
+    inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+    vals = inv_sqrt[users] * inv_sqrt[items]
+    return sp.csr_matrix(
         (
-            np.concatenate([ones, ones]),
-            (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
+            np.concatenate([vals, vals, np.ones(len(isolated))]),
+            (np.concatenate([users, items, isolated]), np.concatenate([items, users, isolated])),
         ),
         shape=(n, n),
-    ).tocsr()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    isolated = deg == 0
-    inv_sqrt = np.zeros(n)
-    inv_sqrt[~isolated] = 1.0 / np.sqrt(deg[~isolated])
-    d_half = sp.diags(inv_sqrt)
-    norm = (d_half @ adj @ d_half).tocsr()
-    if isolated.any():
-        norm = (norm + sp.diags(isolated.astype(np.float64))).tocsr()
-    return norm
+    )
 
 
 @dataclass(eq=False)

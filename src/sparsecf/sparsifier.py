@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, SparseMask, target_active_count
+from .embeddings import EmbeddingTable, SparseMask, _check_finite, target_active_count
 
 DECAYS = ("cosine", "linear", "none")
 
@@ -45,10 +45,6 @@ class ExplorationSchedule:
         if self.decay not in DECAYS:
             raise ValueError(f"decay must be one of {DECAYS}, got {self.decay!r}")
 
-    def exploration_iterations(self) -> list:
-        """All t in (0, t_end) where a mask update fires."""
-        return list(range(self.delta_t, self.t_end, self.delta_t))
-
 
 def update_ratio(sched: ExplorationSchedule, t: int) -> float:
     """Fraction of active entries to replace at iteration t.
@@ -66,6 +62,7 @@ def update_ratio(sched: ExplorationSchedule, t: int) -> float:
 
 
 def is_exploration_iteration(sched: ExplorationSchedule, t: int) -> bool:
+    """Whether a mask update fires at t: every delta_t in (0, t_end)."""
     return t % sched.delta_t == 0 and 0 < t < sched.t_end
 
 
@@ -172,9 +169,7 @@ def exploration_step(
     pruned = select_prune(table, mask, rho_t)
     table.weights.reshape(-1)[pruned] = 0.0
     grad = grad_fn()
-    if not np.isfinite(grad).all():
-        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(grad))[0])
-        raise FloatingPointError(f"non-finite growth gradient at position {bad}")
+    _check_finite(grad, "growth gradient")
     grown = select_grow(grad, mask, len(pruned), exclude=pruned)
     mask.move(pruned, grown)
     assert mask.active_count == active_before, "mask update changed the budget"

@@ -37,6 +37,13 @@ def generate_interactions(
     """
     if num_users < 1 or num_items < 2:
         raise ValueError("need at least 1 user and 2 items")
+    if not (np.isfinite(avg_degree) and avg_degree > 0):
+        raise ValueError(f"avg_degree must be finite and positive, got {avg_degree}")
+    if not np.isfinite(popularity_exponent):
+        raise ValueError(f"popularity_exponent must be finite, got {popularity_exponent}")
+    # the clip's upper bound, at least min_degree + 1, must fit the catalogue
+    if not 0 <= min_degree <= num_items - 1:
+        raise ValueError(f"min_degree must be in [0, {num_items - 1}], got {min_degree}")
     rng = np.random.default_rng(seed)
 
     ranks = np.arange(1, num_items + 1, dtype=np.float64)

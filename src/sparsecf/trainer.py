@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .costs import CostReport, macs_forward_batch, macs_inference, macs_training, memory_bytes
-from .data import InteractionDataset, sample_batch
+from .data import InteractionDataset, _json_text, _write_split_manifest, sample_batch
 from .embeddings import (
     EmbeddingTable,
     OptimizerState,
@@ -34,7 +34,7 @@ from .embeddings import (
     save_checkpoint,
     zero_inactive,
 )
-from .evaluation import evaluate_combined
+from .evaluation import _require_test_split, evaluate_combined
 from .models import BackboneConfig, bpr_loss_and_grad, combined_embeddings
 from .sparsifier import (
     ExplorationSchedule,
@@ -183,10 +183,6 @@ def write_csv(path, columns, rows) -> None:
         writer.writerows(rows)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _completion_text(config: dict) -> str:
     """complete.json of a finished run of this resolved config."""
     return _json_text({"config_sha1": config_digest(config)})
@@ -205,14 +201,7 @@ def _write_run_dir(out_dir, art: RunArtifacts, ds: InteractionDataset, cfg: RunC
         for ev in art.events:
             fh.write(json.dumps(ev.log_entry(), sort_keys=True) + "\n")
     save_checkpoint(out / "checkpoint.final", art.table, art.mask)
-    manifest = {
-        "num_users": ds.num_users,
-        "num_items": ds.num_items,
-        "train_edges": ds.num_train,
-        "test_edges": ds.num_test,
-        "data_dir": cfg.data_dir,
-    }
-    (out / "split_manifest.json").write_text(_json_text(manifest), encoding="utf-8")
+    _write_split_manifest(out, ds, {"data_dir": cfg.data_dir})
     if not art.aborted:
         marker.write_text(_completion_text(art.config), encoding="utf-8")
 
@@ -351,7 +340,9 @@ def train(
     Runs the phases of cfg.method in turn; metric rows and costs
     accumulate across them. Writes the run directory when out_dir is
     given, also when the run aborts. Deterministic given cfg and seed.
+    A dataset without test interactions is rejected before any work.
     """
+    _require_test_split(ds)
     state = _RunState(cfg, ds)
     resolved = cfg.resolved()
     table = init_table(ds.num_users, ds.num_items, cfg.dim, state.table_rng)

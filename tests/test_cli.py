@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsecf import load_dataset, make_dataset, save_dataset, train
+from sparsecf import load_dataset, make_dataset, sample_batch, save_dataset, train
 from sparsecf.cli import SweepSpec, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,6 +86,19 @@ def test_prepare_names_file_and_user_without_interactions(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(raw) in err
     assert "user 2 has none" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--avg-degree", "-1"], "avg_degree must be finite and positive, got -1.0"),
+    (["--pop-exponent", "nan"], "popularity_exponent must be finite, got nan"),
+    (["--items", "3", "--min-degree", "10"], "min_degree must be in [0, 2], got 10"),
+])
+def test_prepare_rejects_bad_generator_arguments(tmp_path, capsys, flags, message):
+    rc = main(["prepare", "--synthetic", "--users", "5", "--items", "30", *flags,
+               "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +191,20 @@ def test_train_user_with_every_item_exits_two(tmp_path, capsys):
     rc = run_train(tmp_path / "d", tmp_path / "r")
     assert rc == 2
     assert "error: user 0 has interacted with all 3 items" in capsys.readouterr().err
+
+
+def test_train_rejects_a_split_without_test_interactions_before_training(tmp_path, capsys,
+                                                                         monkeypatch):
+    save_dataset(make_dataset(3, 4, [(0, 0), (0, 1), (1, 2), (2, 3)]), tmp_path / "d")
+    calls = []
+    monkeypatch.setattr("sparsecf.trainer.sample_batch",
+                        lambda *args: calls.append(args) or sample_batch(*args))
+    rc = main(["train", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "r"),
+               "--t-end", "300", "--delta-t", "100"])
+    assert rc == 2
+    assert "error: dataset has no test interactions" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "r").exists()
 
 
 def test_train_warns_when_dense_gets_sparsity(data_dir, tmp_path, capsys):
@@ -406,6 +433,9 @@ def test_committed_sweep_specs_load():
     paths = sorted((ROOT / "scripts").glob("*.json"))
     assert sorted((ROOT / "scripts").iterdir()) == paths  # scripts/ holds only sweep specs
     specs = {path.stem: SweepSpec.from_file(path) for path in paths}
+    for spec in specs.values():  # every cell is a valid config
+        for sparsity, method, seed in spec.cells():
+            replace(spec.base, sparsity=sparsity, method=method, seed=seed)
     for name in ("method_comparison", "method_comparison_quick"):
         assert len(specs[name].cells()) == 3 * 4 * 5
     cosine = specs["decay_ablation_cosine"]

@@ -16,6 +16,7 @@ from sparsecf import (
     select_prune,
     update_ratio,
 )
+from sparsecf.sparsifier import is_exploration_iteration
 
 # ---------------------------------------------------------------------------
 # independent selection oracles: plain python sort over every position
@@ -179,12 +180,13 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         ExplorationSchedule(0.3, 10, 100, "step")
     # delta_t beyond t_end is allowed and just disables exploration
-    assert ExplorationSchedule(0.3, 500, 100).exploration_iterations() == []
+    sched = ExplorationSchedule(0.3, 500, 100)
+    assert not any(is_exploration_iteration(sched, t) for t in range(sched.t_end + 1))
 
 
 def test_exploration_iterations_never_hit_endpoints():
     sched = ExplorationSchedule(0.3, 25, 100)
-    assert sched.exploration_iterations() == [25, 50, 75]
+    assert [t for t in range(sched.t_end + 1) if is_exploration_iteration(sched, t)] == [25, 50, 75]
 
 
 def test_exploration_step_moves_expected_positions():
