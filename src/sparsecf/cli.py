@@ -215,10 +215,9 @@ def _sweep_cell(cfg: RunConfig, run_dir: str, resume: bool) -> dict:
     run_path = Path(run_dir)
     try:
         done = resume and is_complete(run_path, cfg)
-        if done:
-            row = _read_final_metrics(run_path / "metrics.csv")
-        else:
-            row = train(cfg, load_dataset(cfg.data_dir), out_dir=run_path).final_metrics
+        if not done:
+            train(cfg, load_dataset(cfg.data_dir), out_dir=run_path)
+        row = _read_final_metrics(run_path / "metrics.csv")
         manifest = json.loads((run_path / "split_manifest.json").read_text(encoding="utf-8"))
         total = (manifest["num_users"] + manifest["num_items"]) * cfg.dim
         active = target_active_count(total, cfg.effective_sparsity)

@@ -88,6 +88,9 @@ def evaluate_combined(
     if user_batch < 1:
         raise ValueError(f"user_batch must be >= 1, got {user_batch}")
     _require_test_split(ds)
+    if len(combined) != ds.num_users + ds.num_items:
+        raise ValueError(f"combined has {len(combined)} rows for "
+                         f"{ds.num_users} users + {ds.num_items} items")
     num_items = ds.num_items
     # row pointers: where each user's keys start, and where the last ends
     user_starts = np.arange(ds.num_users + 1) * np.int64(num_items)
@@ -173,6 +176,9 @@ def evaluate(
     backbones, which needs cfg.adjacency). Users without test
     interactions are skipped.
     """
+    if (table.num_users, table.num_items) != (ds.num_users, ds.num_items):
+        raise ValueError(f"table has (users, items) = {(table.num_users, table.num_items)}, "
+                         f"dataset has {(ds.num_users, ds.num_items)}")
     combined = combined_embeddings(cfg, apply_mask(table, mask))
     return evaluate_combined(combined, ds, k, user_batch=user_batch)
 

@@ -106,6 +106,11 @@ def _largest(values: np.ndarray, k: int) -> np.ndarray:
     return chosen
 
 
+def _prune_count(rho_t: float, active: int) -> int:
+    """Entries an exploration event at rho_t prunes (and grows) of active."""
+    return math.floor(rho_t * active)
+
+
 def select_prune(table: EmbeddingTable, mask: SparseMask, rho_t: float) -> np.ndarray:
     """Flat positions of the floor(rho_t * active) smallest-|weight| active
     entries.
@@ -118,7 +123,7 @@ def select_prune(table: EmbeddingTable, mask: SparseMask, rho_t: float) -> np.nd
         raise ValueError(f"rho_t must be in [0, 1], got {rho_t}")
     index = mask._active_index()
     mags = np.abs(table.weights.reshape(-1)[index])
-    k = math.floor(rho_t * len(mags))
+    k = _prune_count(rho_t, len(mags))
     if k == 0:
         return np.empty(0, dtype=np.int64)
     chosen = np.flatnonzero(_largest(-mags, k))

@@ -1,9 +1,9 @@
 """Training orchestration: sparse learning steps, mask exploration, logging.
 
-Every method is a short list of phases run by _run_phase: dense, rp and
-dsl run one phase of exactly t_end iterations; omp runs a dense phase of
-t_end iterations, prunes it once by magnitude and fine-tunes for another
-t_end. Under the dynamic method, iterations that land on the exploration
+train names each method's phases once and _Run.phase runs them all: dense
+runs one phase under the all-active mask, rp and dsl one under a random
+mask, omp a dense phase and then one under a one-shot magnitude prune of
+the table it trained. Under dsl, iterations that land on the exploration
 interval update the mask instead of the weights; all other iterations
 sample a batch, take the ranking gradient and apply a masked optimizer
 step.
@@ -32,15 +32,18 @@ from .embeddings import (
     init_table,
     masked_step,
     save_checkpoint,
+    target_active_count,
     zero_inactive,
 )
 from .evaluation import _require_test_split, evaluate_combined
 from .models import BackboneConfig, bpr_loss_and_grad, combined_embeddings
 from .sparsifier import (
     ExplorationSchedule,
+    _prune_count,
     exploration_step,
     is_exploration_iteration,
     one_shot_magnitude_prune,
+    update_ratio,
 )
 
 METHODS = ("dsl", "dense", "rp", "omp")
@@ -217,58 +220,50 @@ def _dense_mask(table: EmbeddingTable) -> SparseMask:
     return SparseMask(np.ones_like(table.weights, dtype=bool), target_sparsity=0.0)
 
 
-def _phases(cfg: RunConfig) -> list:
-    """(t_start, iterations, starting mask, explore) of each phase of a run.
+def _require_growth_room(cfg: RunConfig, ds: InteractionDataset) -> None:
+    """Raise ValueError unless a dsl run's first exploration event, its
+    largest (rho_t never rises), finds inactive entries enough to grow."""
+    sched = cfg.schedule()
+    if cfg.method != "dsl" or not is_exploration_iteration(sched, cfg.delta_t):
+        return
+    total = (ds.num_users + ds.num_items) * cfg.dim
+    active = target_active_count(total, cfg.sparsity)
+    grow = _prune_count(update_ratio(sched, cfg.delta_t), active)
+    if grow > total - active:
+        raise ValueError(f"dsl at sparsity {cfg.sparsity} and rho0 {cfg.rho0} must grow "
+                         f"{grow} entries at iteration {cfg.delta_t}, but only "
+                         f"{total - active} are inactive")
 
-    The starting mask is "dense", "random" (init_mask) or "magnitude" (a
-    one-shot prune of the table the phase starts from).
-    """
-    if cfg.method != "omp":
-        start = "dense" if cfg.method == "dense" else "random"
-        return [(0, cfg.t_end, start, cfg.method == "dsl")]
-    return [(0, cfg.t_end, "dense", False), (cfg.t_end, cfg.t_end, "magnitude", False)]
 
-
-class _RunState:
-    """Mutable pieces shared by the training phases of one run."""
+class _Run:
+    """One run in progress: its inputs, random streams, MAC count and artifacts."""
 
     def __init__(self, cfg: RunConfig, ds: InteractionDataset):
-        self.cfg = cfg
-        self.ds = ds
+        self.cfg, self.ds = cfg, ds
         self.bb = BackboneConfig.for_dataset(cfg.backbone, cfg.num_layers, ds, cfg.l2_reg)
         adj = self.bb.adjacency
         self.nnz_adj = int(adj.nnz) if adj is not None else 0
-        self.fwd = macs_forward_batch(
-            cfg.backbone, cfg.dim, cfg.batch_size, cfg.num_layers, self.nnz_adj
-        )
-        ss = np.random.SeedSequence(cfg.seed)
-        table_ss, mask_ss, batch_ss = ss.spawn(3)
-        self.table_rng = np.random.default_rng(table_ss)
+        self.fwd = macs_forward_batch(cfg.backbone, cfg.dim, cfg.batch_size, cfg.num_layers,
+                                      self.nnz_adj)
+        table_ss, mask_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(3)
         self.mask_rng = np.random.default_rng(mask_ss)
         self.batch_rng = np.random.default_rng(batch_ss)
         self.macs_cum = 0.0
+        resolved = cfg.resolved()
+        table = init_table(ds.num_users, ds.num_items, cfg.dim, np.random.default_rng(table_ss))
+        self.art = RunArtifacts(resolved["run_id"], resolved, table, _dense_mask(table))
 
-    def start_mask(self, kind: str, table: EmbeddingTable) -> SparseMask:
-        """The mask a phase starts from (see _phases); zeroes the table outside it."""
-        if kind == "dense":
-            return _dense_mask(table)
-        if kind == "random":
-            mask = init_mask(table.weights.shape, self.cfg.sparsity, self.mask_rng)
-        else:
-            mask = one_shot_magnitude_prune(table, self.cfg.sparsity)
-        zero_inactive(table, mask)
-        return mask
-
-    def grad_on_fresh_batch(self, table: EmbeddingTable):
+    def grad_on_fresh_batch(self):
         batch = sample_batch(self.ds, self.cfg.batch_size, self.batch_rng)
-        return bpr_loss_and_grad(self.bb, table, batch)
+        return bpr_loss_and_grad(self.bb, self.art.table, batch)
 
-    def snapshot_metrics(self, t: int, table: EmbeddingTable, mask: SparseMask, run_id: str):
-        combined = combined_embeddings(self.bb, table.weights)
-        report = evaluate_combined(combined, self.ds, self.cfg.eval_k)
-        s = mask.sparsity
+    def snapshot_metrics(self, t: int) -> dict:
+        cfg, ds = self.cfg, self.ds
+        combined = combined_embeddings(self.bb, self.art.table.weights)
+        report = evaluate_combined(combined, ds, cfg.eval_k)
+        s = self.art.mask.sparsity
         return {
-            "run_id": run_id,
+            "run_id": self.art.run_id,
             "iteration": t,
             "k": report.k,
             "recall": report.recall,
@@ -277,56 +272,43 @@ class _RunState:
             "sparsity": s,
             "macs_train_cum": self.macs_cum,
             "macs_infer": macs_inference(
-                self.cfg.backbone,
-                self.ds.num_users,
-                self.ds.num_items,
-                self.cfg.dim,
-                self.cfg.num_layers,
-                self.nnz_adj,
-                s,
+                cfg.backbone, ds.num_users, ds.num_items, cfg.dim, cfg.num_layers,
+                self.nnz_adj, s,
             ),
         }
 
-
-def _run_phase(
-    state: _RunState,
-    art: RunArtifacts,
-    t_start: int,
-    iterations: int,
-    explore: bool,
-    snapshot_hook=None,
-) -> None:
-    """Run iterations t_start+1 .. t_start+iterations on art.table under
-    art.mask, from a fresh optimizer state, appending to art."""
-    cfg = state.cfg
-    table, mask = art.table, art.mask
-    opt = OptimizerState(cfg.optimizer, cfg.lr)
-    eval_every = art.config["eval_every"]
-    sched = cfg.schedule() if explore else None
-    t_final = t_start + iterations
-    for t in range(t_start + 1, t_final + 1):
-        snapshot = t % eval_every == 0 or t == t_final
-        try:
-            if explore and is_exploration_iteration(sched, t - t_start):
-
-                def grad_fn():
-                    return state.grad_on_fresh_batch(table)[1]
-
-                event = exploration_step(table, mask, sched, t - t_start, grad_fn)
-                art.events.append(event)
-                state.macs_cum += macs_training(state.fwd, 0, 0.0, exploration_iterations=1)
-            else:
-                loss, grad = state.grad_on_fresh_batch(table)
-                masked_step(table, grad, mask, opt)
-                art.losses.append((t, loss))
-                state.macs_cum += macs_training(state.fwd, 1, mask.sparsity)
-            if snapshot:
-                art.metrics.append(state.snapshot_metrics(t, table, mask, art.run_id))
-        except FloatingPointError as exc:
-            art.aborted = True
-            raise TrainingAborted(t, str(exc), art) from exc
-        if snapshot and snapshot_hook is not None:
-            snapshot_hook(t, table, mask)
+    def phase(self, mask: SparseMask, t_start: int, explore: bool, snapshot_hook) -> None:
+        """Run iterations t_start+1 .. t_start+t_end under mask, from a fresh
+        optimizer state, appending to the artifacts; the table is zeroed
+        outside the mask first."""
+        cfg, art, table = self.cfg, self.art, self.art.table
+        art.mask = mask
+        zero_inactive(table, mask)
+        opt = OptimizerState(cfg.optimizer, cfg.lr)
+        eval_every = art.config["eval_every"]
+        sched = cfg.schedule()
+        t_final = t_start + cfg.t_end
+        for t in range(t_start + 1, t_final + 1):
+            snapshot = t % eval_every == 0 or t == t_final
+            try:
+                if explore and is_exploration_iteration(sched, t - t_start):
+                    event = exploration_step(
+                        table, mask, sched, t - t_start, lambda: self.grad_on_fresh_batch()[1]
+                    )
+                    art.events.append(event)
+                    self.macs_cum += macs_training(self.fwd, 0, 0.0, exploration_iterations=1)
+                else:
+                    loss, grad = self.grad_on_fresh_batch()
+                    masked_step(table, grad, mask, opt)
+                    art.losses.append((t, loss))
+                    self.macs_cum += macs_training(self.fwd, 1, mask.sparsity)
+                if snapshot:
+                    art.metrics.append(self.snapshot_metrics(t))
+            except FloatingPointError as exc:
+                art.aborted = True
+                raise TrainingAborted(t, str(exc), art) from exc
+            if snapshot and snapshot_hook is not None:
+                snapshot_hook(t, table, mask)
 
 
 def train(
@@ -340,27 +322,33 @@ def train(
     Runs the phases of cfg.method in turn; metric rows and costs
     accumulate across them. Writes the run directory when out_dir is
     given, also when the run aborts. Deterministic given cfg and seed.
-    A dataset without test interactions is rejected before any work.
+    A dataset without test interactions, or a dsl config that would run
+    out of entries to grow, is rejected before any work.
     """
     _require_test_split(ds)
-    state = _RunState(cfg, ds)
-    resolved = cfg.resolved()
-    table = init_table(ds.num_users, ds.num_items, cfg.dim, state.table_rng)
-    art = RunArtifacts(resolved["run_id"], resolved, table, _dense_mask(table))
+    _require_growth_room(cfg, ds)
+    run = _Run(cfg, ds)
+    art, table = run.art, run.art.table
     abort = None
     try:
-        for t_start, iterations, start, explore in _phases(cfg):
-            if start == "magnitude" and out_dir is not None:
+        if cfg.method == "dense":
+            run.phase(_dense_mask(table), 0, False, snapshot_hook)
+        elif cfg.method in ("rp", "dsl"):
+            mask = init_mask(table.weights.shape, cfg.sparsity, run.mask_rng)
+            run.phase(mask, 0, cfg.method == "dsl", snapshot_hook)
+        elif cfg.method == "omp":
+            run.phase(_dense_mask(table), 0, False, snapshot_hook)
+            if out_dir is not None:
                 # omp keeps the dense table it prunes
                 Path(out_dir).mkdir(parents=True, exist_ok=True)
-                save_checkpoint(Path(out_dir) / "checkpoint.dense", table, _dense_mask(table))
-            art.mask = state.start_mask(start, table)
-            _run_phase(state, art, t_start, iterations, explore, snapshot_hook)
+                save_checkpoint(Path(out_dir) / "checkpoint.dense", table, art.mask)
+            mask = one_shot_magnitude_prune(table, cfg.sparsity)
+            run.phase(mask, cfg.t_end, False, snapshot_hook)
     except TrainingAborted as exc:
         abort = exc
     else:
         art.cost = CostReport(
-            macs_train=state.macs_cum,
+            macs_train=run.macs_cum,
             macs_infer=art.metrics[-1]["macs_infer"],
             memory_bytes=memory_bytes(art.mask.active_count, art.mask.total),
         )

@@ -191,6 +191,13 @@ def test_evaluate_validates_inputs(rng):
             evaluate_combined(table.weights, split, 2, user_batch=bad)
         with pytest.raises(ValueError, match="user_batch"):
             evaluate(mf, table, dense_mask((7, 2)), split, 2, user_batch=bad)
+    # a table or embeddings of another split, also one with as many rows
+    other = EmbeddingTable(4, 3, 2, table.weights)
+    with pytest.raises(ValueError, match=r"= \(4, 3\), dataset has \(3, 4\)$"):
+        evaluate(mf, other, dense_mask((7, 2)), split, 2)
+    for rows in (6, 8):
+        with pytest.raises(ValueError, match=f"^combined has {rows} rows for 3 users \\+ 4 items$"):
+            evaluate_combined(rng.normal(size=(rows, 2)), split, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1e300])

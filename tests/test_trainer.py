@@ -19,6 +19,7 @@ from sparsecf import (
     bpr_loss_and_grad,
     combined_embeddings,
     exploration_step,
+    generate_interactions,
     init_mask,
     init_table,
     load_checkpoint,
@@ -28,6 +29,7 @@ from sparsecf import (
     memory_bytes,
     one_shot_magnitude_prune,
     sample_batch,
+    split_holdout,
     target_active_count,
     train,
 )
@@ -345,23 +347,56 @@ def test_omp_costs_more_than_its_dense_phase(small_split):
 # failure handling
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_diverging_run_aborts_and_keeps_artifacts(tmp_path, small_split):
-    cfg = quick_cfg(method="rp", optimizer="sgd", lr=1e100, t_end=20,
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("method", ["dense", "rp", "dsl", "omp"])
+def test_diverging_run_aborts_and_keeps_artifacts(tmp_path, small_split, method):
+    cfg = quick_cfg(method=method, optimizer="sgd", lr=1e100, t_end=20,
                     eval_every=1, run_id="boom")
     with pytest.raises(TrainingAborted) as exc_info:
         train(cfg, small_split, out_dir=tmp_path / "run")
     err = exc_info.value
-    assert err.iteration <= 20
+    assert err.iteration == 2
     assert err.artifacts is not None and err.artifacts.aborted
     assert "non-finite" in str(err)
     out = tmp_path / "run"
-    assert (out / "checkpoint.final").exists()
-    assert not (out / "complete.json").exists()
+    # omp aborts in its dense phase, before it keeps the dense table
+    assert sorted(p.name for p in out.iterdir()) == [
+        "checkpoint.final", "config.json", "exploration.jsonl", "metrics.csv",
+        "split_manifest.json",
+    ]
     lines = (out / "metrics.csv").read_text().splitlines()
     assert lines[0] == ",".join(METRICS_COLUMNS)
     # rows logged before the abort are retained
     assert len(lines) - 1 == len(err.artifacts.metrics)
+
+
+@pytest.fixture(scope="module")
+def split_60x120():
+    return split_holdout(generate_interactions(60, 120, avg_degree=12, min_degree=4, seed=5),
+                         0.2, 1)
+
+
+@pytest.mark.parametrize("sparsity, grow, inactive", [(0.0, 323, 0), (0.1, 291, 144)])
+def test_dsl_without_room_to_grow_is_rejected_before_sampling(tmp_path, split_60x120, monkeypatch,
+                                                              sparsity, grow, inactive):
+    # 60 x 120 x 8 = 1440 entries; the first event, at iteration 100 of 300,
+    # prunes and grows floor(0.225 * active)
+    calls = []
+    monkeypatch.setattr("sparsecf.trainer.sample_batch",
+                        lambda *args: calls.append(args) or sample_batch(*args))
+    cfg = quick_cfg(sparsity=sparsity, t_end=300, delta_t=100)
+    message = (f"^dsl at sparsity {sparsity} and rho0 0.3 must grow {grow} entries "
+               f"at iteration 100, but only {inactive} are inactive$")
+    with pytest.raises(ValueError, match=message):
+        train(cfg, split_60x120, out_dir=tmp_path / "run")
+    assert calls == []
+    assert not (tmp_path / "run").exists()
+
+
+def test_dsl_with_room_to_grow_trains(split_60x120):
+    # s = 0.2: the first event grows 259 of 288 inactive entries
+    art = train(quick_cfg(sparsity=0.2, t_end=300, delta_t=100), split_60x120)
+    assert [ev.count for ev in art.events] == [259, 86]
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
