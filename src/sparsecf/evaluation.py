@@ -11,17 +11,49 @@ to exclude, the test keys the test users, their counts and, by binary
 search, the relevance of each top-k item. Both are set operations, so
 neither depends on the order of the edges in a file.
 
-Only the top k of each ranking is built, never the full order. Train
-items are scored -inf, so they sort after every remaining item. Each
-score row is then folded into G >= k groups (group j holds items j,
-j + G, j + 2G, ...) by an elementwise maximum over its contiguous slices
-of width G, and `np.partition` of the short row of group maxima gives
-its k-th largest, lb. The k groups with the largest maxima hold k
-distinct items that score at least lb, so every item of the top k
-scores at least lb. The items at or above lb (between k and 2k per row
-on the trained desk models) are sorted by row and descending score; the flat order
-already puts ties at the lower item index first. The first k of each row
-are exactly the first k of the full stable sort. Scores must be finite.
+Only the top k of each ranking is built, and each user is scored only
+against the items that can enter it (exact maximum inner-product search
+with the Cauchy-Schwarz bound, as in LEMP, Teflioudi et al., SIGMOD 2015):
+
+- The bound. score(u, i) = u . i <= |u| |i|. Items are ordered by
+  descending norm, and a first pass scores every user against the top
+  BLOCK of them. The k-th largest of those scores, lb, is at most the
+  user's k-th score, so an item with |u| |i| < lb scores below it and can
+  neither enter the top k nor tie into it. The items that can are a
+  prefix of the norm order.
+- The margin. The prefix holds every item with |u| |i| >= lb - tau. tau
+  is a multiple of (d + 2) eps |u| max|i| that covers the rounding of the
+  first pass, of the later score and of the norms (the two products of a
+  score can round differently, since BLAS blocks by shape), plus a tiny
+  absolute term for underflow. Where lb <= tau (lb <= 0, a zero user, a
+  user with fewer than k items left in the block) nothing is pruned.
+- The buckets. Prefix lengths are rounded up to BLOCK * 2^j, the last one
+  the whole catalogue. A user whose prefix is the first block finishes
+  from its first-pass row; the others are scored, user_batch at a time,
+  against their bucket's items in ascending item order, so columns keep
+  the lower-item tie rule. Train items are scored -inf, so they sort
+  after every remaining item. A score can be non-finite only for a user
+  where 2 |u| max|i| is not finite; those users' rows are checked before
+  any other score is made.
+- The selection. In the first pass lb is each row's exact k-th score
+  (a row partition). In a later block each row is folded into G >= k
+  groups (group j holds items j, j + G, ...) by an elementwise maximum,
+  and lb is the k-th largest group maximum: those k groups hold k
+  distinct items scoring at least lb. Every entry above lb is kept, then the entries equal to lb in column order until the row
+  holds k, so a row keeps at most max(k, entries above lb) however many
+  scores tie (many are exactly 0 at high sparsity). A stable sort of the
+  kept entries, padded into a block, gives the first k of the full stable
+  sort. Metrics are summed user_batch users at a time in user order.
+
+Rounding. Each item is ranked by the score its user's last block gives
+it, and the BLAS rounds an entry of a product differently with the
+product's shape and the entry's place in it (one user's row goes through
+a matrix-vector kernel, for one). So two scores within a rounding error of
+each other, a few (d + 2) eps |u| max|i|, can order differently than in
+one full (users x items) product, as they already could between two
+values of user_batch. tau keeps the pruning safe under any such rounding:
+no item is dropped whose score could reach the k-th. With scores that are
+exact (integer embeddings) the ranking equals the full stable sort.
 """
 
 from __future__ import annotations
@@ -37,6 +69,8 @@ from .models import BackboneConfig, combined_embeddings, score_matrix
 SIDES = ("users", "items")
 # items per group of the group-max bound (fewer when k needs more groups)
 FOLD = 8
+# items of the first pass: the top of the catalogue by norm
+BLOCK = 128
 
 
 @dataclass
@@ -94,12 +128,11 @@ def evaluate_combined(
     num_items = ds.num_items
     # row pointers: where each user's keys start, and where the last ends
     user_starts = np.arange(ds.num_users + 1) * np.int64(num_items)
-    train_ptr = np.searchsorted(ds._train_keys, user_starts)
     test_counts = np.diff(np.searchsorted(ds._test_keys, user_starts))
     test_users = np.flatnonzero(test_counts)
     kk = min(k, num_items)
-    # at least kk groups, each holding at least one item (kk <= num_items)
-    groups = max(kk, -(-num_items // FOLD))
+    train = _train_lists(ds, user_starts, test_users)
+    top = _top_items(combined, ds, test_users, train, kk, user_batch)
     gains = 1.0 / np.log2(np.arange(1, kk + 1) + 1.0)
     # idcg[m] = best possible DCG with m relevant items, m in [0, kk]
     idcg = np.concatenate([[0.0], np.cumsum(gains)])
@@ -107,45 +140,14 @@ def evaluate_combined(
     recall_sum = 0.0
     ndcg_sum = 0.0
     hr_sum = 0.0
+    # summed chunk by chunk in user order, so the totals do not depend on
+    # the order in which users were ranked
     for start in range(0, len(test_users), user_batch):
         chunk = test_users[start : start + user_batch]
-        scores = score_matrix(combined, ds.num_users, chunk)
-        finite = np.isfinite(scores).all(axis=1)
-        if not finite.all():
-            raise FloatingPointError(f"non-finite score for user {chunk[np.argmin(finite)]}")
-        # train items sort after every remaining item, so they take no rank;
-        # at lays the chunk's runs of train keys end to end, and a key
-        # user * num_items + item becomes the flat position row * num_items + item
-        n_train = train_ptr[chunk + 1] - train_ptr[chunk]
-        at = np.repeat(train_ptr[chunk] - np.cumsum(n_train) + n_train, n_train)
-        at += np.arange(len(at))
-        shift = np.repeat((chunk - np.arange(len(chunk))) * np.int64(num_items), n_train)
-        scores.put(ds._train_keys[at] - shift, -np.inf)
-        # group j's maximum over items j, j + groups, ...: one pass over the
-        # row's slices, the last one ragged
-        gmax = scores[:, :groups].copy()
-        for lo in range(groups, num_items, groups):
-            width = min(groups, num_items - lo)
-            np.maximum(gmax[:, :width], scores[:, lo : lo + width], out=gmax[:, :width])
-        # lb: the kk-th largest group maximum, at most the kk-th largest score
-        gmax.partition(groups - kk, axis=1)
-        lb = gmax[:, groups - kk]
-        flat = np.flatnonzero(scores >= lb[:, None])
-        rows, items = np.divmod(flat, num_items)
-        # by row, then descending score; the sort is stable, so ties keep
-        # the flat order, which is ascending by item within a row
-        order = np.lexsort((-scores.reshape(-1)[flat], rows))
-        # the next chunk's block is made without this one alive
-        del scores
-        # rows is already in row order, so it is also the row of each
-        # sorted position; rank is the position within that row
-        per_row = np.bincount(rows, minlength=len(chunk))
-        rank = np.arange(len(rows)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-        top = order[rank < kk]
-        top_items = items[top].reshape(len(chunk), kk)
         # a train item (never a test item) takes a top slot only when fewer
         # than kk items remain, and is never relevant
-        hit = _in_sorted(ds._test_keys, chunk[:, None] * np.int64(num_items) + top_items)
+        hit = _in_sorted(ds._test_keys,
+                         chunk[:, None] * np.int64(num_items) + top[start : start + user_batch])
         dcg = np.where(hit, gains, 0.0).sum(axis=1)
         n_test = test_counts[chunk]
         hits = hit.sum(axis=1)
@@ -160,6 +162,171 @@ def evaluate_combined(
         hr=hr_sum / n,
         users_evaluated=n,
     )
+
+
+def _train_lists(ds: InteractionDataset, user_starts: np.ndarray, users: np.ndarray) -> tuple:
+    """(start, count, items): users[j]'s train items are
+    items[start[j] : start[j] + count[j]], ascending. user_starts[u] is
+    user u's first key, u * num_items, for u in [0, num_users]."""
+    ptr = np.searchsorted(ds._train_keys, user_starts)
+    items = ds._train_keys - np.repeat(user_starts[:-1], np.diff(ptr))
+    return ptr[users], ptr[users + 1] - ptr[users], items
+
+
+def _exclude(scores: np.ndarray, pos: np.ndarray, train: tuple, col_of: np.ndarray) -> None:
+    """Score -inf at the train items, among the block's columns, of the
+    users at positions pos (one per row of scores).
+
+    col_of maps an item to its column in the block, -1 when absent. -inf
+    sorts after every remaining item, so train items take no rank.
+    """
+    start, count, items = train
+    n = count[pos]
+    # the users' runs of train items laid end to end
+    at = np.repeat(start[pos] - np.cumsum(n) + n, n) + np.arange(n.sum())
+    cols = col_of[items[at]]
+    flat = np.repeat(np.arange(len(pos)) * np.int64(scores.shape[1]), n) + cols
+    # np.compress: boolean indexing was four times slower here
+    scores.put(np.compress(cols >= 0, flat), -np.inf)
+
+
+def _column_map(cols: np.ndarray, num_items: int) -> np.ndarray:
+    """Item -> its column among cols, -1 for items not in cols."""
+    col_of = np.full(num_items, -1)
+    col_of[cols] = np.arange(len(cols))
+    return col_of
+
+
+def _raise_on_non_finite(combined: np.ndarray, num_users: int, users: np.ndarray,
+                         user_batch: int) -> None:
+    """FloatingPointError naming the first of users with a non-finite score."""
+    for start in range(0, len(users), user_batch):
+        chunk = users[start : start + user_batch]
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(score_matrix(combined, num_users, chunk)).all(axis=1)
+        if not finite.all():
+            raise FloatingPointError(f"non-finite score for user {chunk[np.argmin(finite)]}")
+
+
+def _candidates(lb: np.ndarray, tau: np.ndarray, user_norms: np.ndarray,
+                neg_sorted_norms: np.ndarray) -> np.ndarray:
+    """How many items, taken by descending norm, each user must be scored
+    against: those with |u| |i| >= lb - tau, where lb is at most the user's
+    kk-th score. Every item where lb <= tau (lb <= 0, or a zero user)."""
+    count = np.full(len(lb), len(neg_sorted_norms))
+    bounded = lb > tau
+    need = (lb[bounded] - tau[bounded]) / user_norms[bounded]
+    count[bounded] = np.searchsorted(neg_sorted_norms, -need, side="right")
+    return count
+
+
+def _top_items(combined: np.ndarray, ds: InteractionDataset, users: np.ndarray, train: tuple,
+               kk: int, user_batch: int) -> np.ndarray:
+    """(len(users), kk) items of each user's kk best, best first, scoring
+    each user only against the items its norm bound leaves (see the module
+    docstring); train is _train_lists of users. Raises FloatingPointError,
+    before any score is made, if a score is not finite."""
+    num_users, num_items = ds.num_users, ds.num_items
+    items = combined[num_users:]
+    dim = combined.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->i", combined, combined))
+        user_norms, item_norms = norms[users], norms[num_users:]
+        top_norm = item_norms.max()
+        # |u.i| <= |u| |i|, and a computed score errs from u.i by far less
+        # than a factor 2, so only these users can have a non-finite score
+        unsafe = ~np.isfinite(2.0 * user_norms * top_norm)
+        if unsafe.any():
+            _raise_on_non_finite(combined, num_users, users[unsafe], user_batch)
+        # tau covers the rounding between a first-pass score, the same score
+        # in a later block and the bound |u| |i|: the two d-term dot products
+        # and the norms each err by at most about (d + 2) eps |u| |i|; the
+        # second term, what squares and products that underflow can hide
+        tau = (8 * (dim + 2) * np.finfo(np.float64).eps * user_norms * top_norm
+               + 1e-150 * (user_norms + top_norm + 1.0))
+    perm = np.argsort(-item_norms, kind="stable")
+    width = min(BLOCK, num_items)
+    top = np.empty((len(users), kk), dtype=np.intp)
+    prefix = np.full(len(users), num_items)
+    if width >= kk:
+        # first pass: every user against the top block of items by norm
+        first = np.sort(perm[:width])
+        col_of = _column_map(first, num_items)
+        emb = items[first].T
+        neg_sorted_norms = -item_norms[perm]
+        for start in range(0, len(users), user_batch):
+            pos = np.arange(start, min(start + user_batch, len(users)))
+            block = combined[users[pos]] @ emb
+            _exclude(block, pos, train, col_of)
+            # the kk-th largest score of the block, -inf when fewer than kk
+            # block items remain: at most the user's kk-th largest score
+            lb = np.partition(block, width - kk, axis=1)[:, width - kk]
+            count = _candidates(lb, tau[pos], user_norms[pos], neg_sorted_norms)
+            # prefix lengths BLOCK * 2^j, the last one the whole catalogue
+            length = np.full(len(pos), width)
+            while (short := length < count).any():
+                length[short] *= 2
+            prefix[pos] = np.minimum(length, num_items)
+            # users whose candidates all lie in the block finish here
+            done = prefix[pos] == width
+            if done.any():
+                top[pos[done]] = first[_top_columns(block[done], lb[done], kk)]
+    for length in np.unique(prefix[prefix > width]):
+        members = np.flatnonzero(prefix == length)
+        cols = np.sort(perm[:length])
+        col_of = _column_map(cols, num_items)
+        emb = items[cols].T
+        for start in range(0, len(members), user_batch):
+            pos = members[start : start + user_batch]
+            block = combined[users[pos]] @ emb
+            _exclude(block, pos, train, col_of)
+            top[pos] = cols[_top_columns(block, _lower_bound(block, kk), kk)]
+            # the next block is made without this one alive
+            del block
+    return top
+
+
+def _lower_bound(scores: np.ndarray, kk: int) -> np.ndarray:
+    """Per row, a lower bound on its kk-th largest score, 1 <= kk <=
+    scores.shape[1]: the kk-th largest group maximum."""
+    width = scores.shape[1]
+    # at least kk groups, each holding at least one item (kk <= width)
+    groups = max(kk, -(-width // FOLD))
+    # group j's maximum over items j, j + groups, ...: one pass over the
+    # row's slices, the last one ragged
+    gmax = scores[:, :groups].copy()
+    for lo in range(groups, width, groups):
+        span = min(groups, width - lo)
+        np.maximum(gmax[:, :span], scores[:, lo : lo + span], out=gmax[:, :span])
+    gmax.partition(groups - kk, axis=1)
+    return gmax[:, groups - kk]
+
+
+def _top_columns(scores: np.ndarray, lb: np.ndarray, kk: int) -> np.ndarray:
+    """(rows, kk) columns of each row's kk largest scores, best first, ties
+    to the lower column, given lb, at most each row's kk-th largest."""
+    rows, width = scores.shape
+    flat = np.flatnonzero(scores >= lb[:, None])
+    row = flat // width
+    tied = scores.reshape(-1)[flat] == lb[row]
+    # keep every entry above lb, then the ties at lb in column order until
+    # the row has kk: at most max(above, kk) per row however many tie
+    before = np.concatenate([[0], np.cumsum(tied)])
+    row_start = np.searchsorted(row, np.arange(rows + 1))
+    above = np.diff(row_start) - np.diff(before[row_start])
+    rank = before[:-1] - before[row_start[row]]
+    keep = ~tied | (rank < (kk - above)[row])
+    flat, row = flat[keep], row[keep]
+    per_row = np.bincount(row, minlength=rows)
+    slot = np.arange(len(row)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    # negated scores, padded with +inf after each row's kept entries; a
+    # stable sort keeps ties, and kept -inf scores, in column order
+    neg = np.full((rows, per_row.max()), np.inf)
+    neg[row, slot] = -scores.reshape(-1)[flat]
+    cols = np.zeros(neg.shape, dtype=np.intp)
+    cols[row, slot] = flat - row * width
+    order = np.argsort(neg, axis=1, kind="stable")[:, :kk]
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def evaluate(

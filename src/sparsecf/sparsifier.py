@@ -140,6 +140,12 @@ def select_grow(
     not eligible. The threshold is the k-th largest eligible magnitude,
     found by np.partition. Ties resolve toward the smaller row-major
     index. Result is ascending.
+
+    Most eligible magnitudes are often exactly zero (an MF batch touches
+    few rows), and np.partition slows down many times over when most
+    values are equal. So only the positive ones are partitioned: with at
+    least k of them the threshold is their k-th largest; otherwise all are
+    taken, then zeros in ascending index order.
     """
     eligible = ~mask.bits.ravel()
     if exclude is not None:
@@ -149,7 +155,14 @@ def select_grow(
         raise ValueError(f"cannot grow {k} entries, only {len(inactive)} eligible")
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    return inactive[_largest(np.abs(grad.ravel()[inactive]), k)]
+    mags = np.abs(grad.ravel()[inactive])
+    chosen = mags > 0
+    positive = np.flatnonzero(chosen)
+    if len(positive) >= k:
+        return inactive[positive[_largest(mags[positive], k)]]
+    # every positive magnitude, then zeros in ascending index order
+    chosen[np.flatnonzero(~chosen)[: k - len(positive)]] = True
+    return inactive[chosen]
 
 
 def exploration_step(

@@ -20,6 +20,7 @@ from sparsecf import (
     popularity_sparsity_correlation,
     sparsity_profile,
 )
+from sparsecf import evaluation
 from sparsecf.models import score_matrix
 
 
@@ -207,7 +208,7 @@ def test_non_finite_scores_name_the_user(rng, bad):
     # a NaN entry, or one whose products overflow to inf, in user 1's row
     combined[1, 0] = bad
     combined[3:, 0] = np.abs(combined[3:, 0]) + 1e10
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="user 1$"):
+    with pytest.raises(FloatingPointError, match="user 1$"):
         evaluate_combined(combined, ds, 2)
 
 
@@ -320,6 +321,176 @@ def test_top_k_selection_matches_full_sort_across_folds(
     recall, ndcg, hr = full_sort_reference(combined, ds, k, user_batch)
     assert rep.recall == recall
     assert rep.hr == hr
+    assert rep.ndcg == pytest.approx(ndcg, abs=1e-15)
+
+
+def stable_top_items(combined, ds, users, k):
+    """Each user's first k items of a stable descending sort of its scores,
+    train items scored -inf."""
+    scores = score_matrix(combined, ds.num_users, users)
+    for row, u in enumerate(users):
+        scores[row, ds.train_edges[ds.train_edges[:, 0] == u, 1]] = -np.inf
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+
+
+def bounded_top_items(combined, ds, users, k, user_batch):
+    """evaluation._top_items of users, the ranking evaluate_combined scores."""
+    user_starts = np.arange(ds.num_users + 1) * np.int64(ds.num_items)
+    train = evaluation._train_lists(ds, user_starts, users)
+    return evaluation._top_items(combined, ds, users, train, k, user_batch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_users=st.integers(min_value=3, max_value=8),
+    num_items=st.one_of(st.integers(min_value=1, max_value=130),
+                        st.integers(min_value=131, max_value=400)),
+    extra_dims=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**31),
+    k_over=st.integers(min_value=0, max_value=400),
+    user_batch=st.sampled_from([1, 3, 512]),
+)
+def test_norm_bound_keeps_the_ranking_exact(num_users, num_items, extra_dims, seed, k_over,
+                                            user_batch):
+    rng = np.random.default_rng(seed)
+    dim = 3 + extra_dims
+    # 0: no interaction, 1: train, 2: test
+    cells = rng.choice([0, 0, 1, 2], size=(num_users, num_items))
+    assume((cells == 2).any())
+    ds = make_dataset(num_users, num_items, np.argwhere(cells == 1), np.argwhere(cells == 2))
+    # integers, so every score and the norms of (3, 4)-multiples are exact;
+    # a few large factors skew the norms
+    combined = rng.integers(-2, 3, size=(num_users + num_items, dim)).astype(np.float64)
+    combined *= rng.choice([1, 1, 1, 1, 1, 2, 3, 8], size=(len(combined), 1))
+    # items (3, 4, z): user 0 scores 25 on each, at its bound 5 |i| when
+    # z = 0, so items tie exactly at the bound, and items with a large z
+    # (a large norm, the same score) fill the first block
+    pyth = rng.random(num_items) < 0.5
+    combined[ds.num_users:][pyth] = 0.0
+    combined[ds.num_users:][pyth, :3] = np.column_stack(
+        [np.full((pyth.sum(), 2), (3.0, 4.0)), rng.choice([0, 0, 1, 20, 40], size=pyth.sum())])
+    combined[0] = 0.0
+    combined[0, :2] = (3.0, 4.0)
+    combined[1] = 0.0  # a zero user: every score ties at 0
+    combined[2] = -combined[ds.num_users:].sum(axis=0)  # mostly negative scores, lb <= 0
+    k = 1 + k_over % (num_items + 3)  # k above the first block, and above the catalogue
+    rep = evaluate_combined(combined, ds, k, user_batch=user_batch)
+    recall, ndcg, hr = full_sort_reference(combined, ds, k, user_batch)
+    assert rep.recall == recall
+    assert rep.hr == hr
+    assert rep.ndcg == pytest.approx(ndcg, abs=1e-15)
+    users = np.unique(ds.test_edges[:, 0])
+    kk = min(k, num_items)
+    np.testing.assert_array_equal(bounded_top_items(combined, ds, users, kk, user_batch),
+                                  stable_top_items(combined, ds, users, kk))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_users=st.integers(min_value=1, max_value=40),
+    num_items=st.integers(min_value=20, max_value=700),
+    dim=st.sampled_from([1, 4, 16, 64]),
+    seed=st.integers(min_value=0, max_value=2**31),
+    k=st.integers(min_value=1, max_value=150),
+    user_batch=st.sampled_from([1, 3, 512]),
+)
+def test_norm_bound_ranks_float_scores_as_one_full_product_up_to_rounding(
+    num_users, num_items, dim, seed, k, user_batch
+):
+    # float embeddings: the users are ranked from products of several
+    # shapes (the first block, one per bucket), which the BLAS rounds
+    # differently, so two scores within a rounding error of each other may
+    # order differently than in one full product; no item may be lost
+    rng = np.random.default_rng(seed)
+    cells = rng.choice([0, 0, 0, 1, 2], size=(num_users, num_items))
+    assume((cells == 2).any())
+    ds = make_dataset(num_users, num_items, np.argwhere(cells == 1), np.argwhere(cells == 2))
+    combined = rng.normal(size=(num_users + num_items, dim))
+    items = combined[num_users:]
+    items *= rng.pareto(2.0, size=(num_items, 1))  # skewed norms, as a sparse table has
+    # exact duplicates, and copies nudged by one ulp in one coordinate:
+    # scores that tie or differ in the last bits
+    src = rng.integers(num_items, size=(2, num_items // 5))
+    dst = rng.permutation(num_items)[: 2 * (num_items // 5)].reshape(2, -1)
+    items[dst[0]] = items[src[0]]
+    items[dst[1]] = items[src[1]]
+    coord = rng.integers(dim, size=dst.shape[1])
+    items[dst[1], coord] = np.nextafter(items[dst[1], coord], np.inf)
+    users = np.unique(ds.test_edges[:, 0])
+    kk = min(k, num_items)
+    top = bounded_top_items(combined, ds, users, kk, user_batch)
+    assert all(len(np.unique(row)) == kk for row in top)
+    # one full product, train items at -inf, sorted
+    scores = score_matrix(combined, ds.num_users, users)
+    for row, u in enumerate(users):
+        scores[row, ds.train_edges[ds.train_edges[:, 0] == u, 1]] = -np.inf
+    want = -np.sort(-scores, axis=1)[:, :kk]
+    got = np.take_along_axis(scores, top, axis=1)
+    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+    norms = np.linalg.norm(combined, axis=1)
+    # a few roundings of a d-term dot product
+    tol = 4 * (dim + 2) * np.finfo(np.float64).eps * norms[users] * norms[num_users:].max()
+    finite = np.isfinite(want)
+    row_tol = np.broadcast_to(tol[:, None], want.shape)
+    assert (np.abs(got[finite] - want[finite]) <= row_tol[finite]).all()
+
+
+def bound_fixture(case):
+    """(combined, k) for one user whose only test item, item 0, lies outside
+    the first block yet belongs to its top k."""
+    if case == "tie":
+        # user (3, 4, 0) scores 25 on every item (3, 4, i); item 0 alone has
+        # the smallest norm, 5, and meets the bound 5 * 5 = 25 exactly, and
+        # it wins the tie by index
+        items = np.zeros((2 * evaluation.BLOCK + 1, 3))
+        items[:, :2] = (3.0, 4.0)
+        items[:, 2] = np.arange(len(items))
+        return np.vstack([[3.0, 4.0, 0.0], items]), 1
+    # user (1, 0): the block scores 10 (item 1), 5 (item 2), then zeros, so
+    # its 2nd score bounds item 0 = (7, 0), which ranks 2nd; a bound from the
+    # 1st score, 10, would drop it
+    items = np.zeros((evaluation.BLOCK + 11, 2))
+    items[0] = (7.0, 0.0)
+    items[1] = (10.0, 0.0)
+    items[2] = (5.0, 50.0)
+    items[3 : evaluation.BLOCK + 1, 1] = 20.0 + np.arange(evaluation.BLOCK - 2)
+    items[evaluation.BLOCK + 1 :, 1] = 1.0
+    return np.vstack([[1.0, 0.0], items]), 2
+
+
+@pytest.mark.parametrize("case", ["tie", "inside"])
+def test_bound_keeps_items_outside_the_first_block(case):
+    combined, k = bound_fixture(case)
+    ds = make_dataset(1, len(combined) - 1, [], [(0, 0)])
+    rep = evaluate_combined(combined, ds, k)
+    assert (rep.recall, rep.hr) == (1.0, 1.0)
+
+
+def test_norm_bound_prunes_most_items(monkeypatch):
+    # skewed item norms, as a sparse table has: most items are small, a
+    # few popular ones large
+    num_users, num_items = 300, 2000
+    rng = np.random.default_rng(5)
+    picked = np.argsort(rng.random((num_users, num_items)), axis=1)[:, :30]
+    train = np.column_stack([np.repeat(np.arange(num_users), 25), picked[:, 5:].ravel()])
+    test = np.column_stack([np.repeat(np.arange(num_users), 5), picked[:, :5].ravel()])
+    ds = make_dataset(num_users, num_items, train, test)
+    combined = rng.normal(size=(num_users + num_items, 16))
+    combined[num_users:] *= rng.pareto(2.0, size=(num_items, 1))
+    counts = []
+    candidates = evaluation._candidates
+
+    def record(*args):
+        counts.append(candidates(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(evaluation, "_candidates", record)
+    rep = evaluate_combined(combined, ds, 20)
+    counts = np.concatenate(counts)
+    assert len(counts) == num_users
+    assert np.median(counts) <= 0.25 * num_items, f"median {np.median(counts)} candidates"
+    recall, ndcg, hr = full_sort_reference(combined, ds, 20, 512)
+    assert (rep.recall, rep.hr) == (recall, hr)
     assert rep.ndcg == pytest.approx(ndcg, abs=1e-15)
 
 

@@ -86,6 +86,28 @@ def test_select_grow_matches_oracle():
         assert got == oracle_grow(grad, mask.bits, k, exclude)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(min_value=2, max_value=40),
+    cols=st.integers(min_value=2, max_value=16),
+    zero_share=st.floats(min_value=0.9, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+    k_frac=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_select_grow_on_mostly_zero_gradients(rows, cols, zero_share, seed, k_frac):
+    # a batch touches few rows, so most growth scores are exactly zero:
+    # fewer than k positive ones, or at least k, both occur
+    rng = np.random.default_rng(seed)
+    grad = np.round(rng.normal(size=(rows, cols)) * 2.0) / 2.0
+    grad[rng.random(grad.shape) < zero_share] = 0.0
+    mask = init_mask(grad.shape, 0.5, rng)
+    eligible = np.flatnonzero(~mask.bits.ravel())
+    k = int(k_frac * len(eligible))
+    # a stable sort puts equal magnitudes in ascending index order
+    want = np.sort(eligible[np.argsort(-np.abs(grad.ravel()[eligible]), kind="stable")[:k]])
+    assert select_grow(grad, mask, k).tolist() == want.tolist()
+
+
 def test_one_shot_prune_matches_oracle():
     rng = np.random.default_rng(2)
     for trial in range(100):

@@ -347,7 +347,6 @@ def test_omp_costs_more_than_its_dense_phase(small_split):
 # failure handling
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 @pytest.mark.parametrize("method", ["dense", "rp", "dsl", "omp"])
 def test_diverging_run_aborts_and_keeps_artifacts(tmp_path, small_split, method):
     cfg = quick_cfg(method=method, optimizer="sgd", lr=1e100, t_end=20,
