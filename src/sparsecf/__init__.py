@@ -34,7 +34,6 @@ from .models import (
     build_adjacency,
     combined_embeddings,
     lightgcn_propagate,
-    score_matrix,
 )
 from .costs import macs_forward_batch, macs_inference, macs_training, memory_bytes
 from .sparsifier import (
@@ -87,7 +86,6 @@ __all__ = [
     "sample_batch",
     "save_checkpoint",
     "save_dataset",
-    "score_matrix",
     "select_grow",
     "select_prune",
     "sparsity_profile",

@@ -210,13 +210,15 @@ def _read_final_metrics(path) -> dict:
 def _sweep_cell(cfg: RunConfig, run_dir: str, resume: bool) -> dict:
     """Run (or resume) one sweep cell; never raises, reports status instead.
 
-    A cell resumes only from a finished run of the same resolved config.
+    A cell resumes only from a finished run of the same resolved config on
+    the same split.
     """
     run_path = Path(run_dir)
     try:
-        done = resume and is_complete(run_path, cfg)
+        ds = load_dataset(cfg.data_dir)
+        done = resume and is_complete(run_path, cfg, ds)
         if not done:
-            train(cfg, load_dataset(cfg.data_dir), out_dir=run_path)
+            train(cfg, ds, out_dir=run_path)
         row = _read_final_metrics(run_path / "metrics.csv")
         manifest = json.loads((run_path / "split_manifest.json").read_text(encoding="utf-8"))
         total = (manifest["num_users"] + manifest["num_items"]) * cfg.dim

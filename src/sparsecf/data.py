@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -358,6 +359,15 @@ def save_dataset(ds: InteractionDataset, out_dir, manifest_extra: dict | None = 
             fh.write(header)
             fh.write(pairs.encode("ascii"))
     _write_split_manifest(out, ds, manifest_extra or {})
+
+
+def _split_digest(ds: InteractionDataset) -> str:
+    """sha1 of a split: its four sizes and both sorted key arrays."""
+    sizes = f"{ds.num_users} {ds.num_items} {ds.num_train} {ds.num_test}\n"
+    digest = hashlib.sha1(sizes.encode())
+    digest.update(ds._train_keys.astype("<i8", copy=False).tobytes())
+    digest.update(ds._test_keys.astype("<i8", copy=False).tobytes())
+    return digest.hexdigest()
 
 
 def _json_text(payload: dict) -> str:

@@ -19,6 +19,8 @@ from typing import ClassVar
 import numpy as np
 
 CHECKPOINT_FORMAT = "sparse-embedding-v2"
+# std of the normal entries of a fresh table
+INIT_SCALE = 0.01
 
 
 @dataclass
@@ -35,17 +37,12 @@ class EmbeddingTable:
         return self.weights.size
 
 
-def init_table(
-    num_users: int,
-    num_items: int,
-    dim: int,
-    rng: np.random.Generator,
-    scale: float = 0.01,
-) -> EmbeddingTable:
-    """Create a table with i.i.d. normal entries of the given std."""
+def init_table(num_users: int, num_items: int, dim: int,
+               rng: np.random.Generator) -> EmbeddingTable:
+    """Create a table with i.i.d. normal entries of std INIT_SCALE."""
     if num_users < 1 or num_items < 1 or dim < 1:
         raise ValueError("num_users, num_items and dim must all be >= 1")
-    weights = rng.normal(0.0, scale, size=(num_users + num_items, dim))
+    weights = rng.normal(0.0, INIT_SCALE, size=(num_users + num_items, dim))
     return EmbeddingTable(num_users, num_items, dim, weights)
 
 
@@ -289,6 +286,10 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, SparseMask]:
             f"{path}: checkpoint body is {len(body)} bytes, expected "
             f"{mask_bytes + 8 * active} for {active} active of {total} entries"
         )
+    if active != target_active_count(total, sparsity):
+        raise ValueError(f"{path}: checkpoint header sparsity {sparsity} means "
+                         f"{target_active_count(total, sparsity)} active of {total} entries, "
+                         f"the mask has {active}")
     bits = bits.view(bool).reshape(shape)
     weights = np.zeros(shape)
     weights[bits] = np.frombuffer(body, dtype="<f8", offset=mask_bytes)

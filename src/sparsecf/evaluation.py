@@ -17,33 +17,35 @@ with the Cauchy-Schwarz bound, as in LEMP, Teflioudi et al., SIGMOD 2015):
 
 - The bound. score(u, i) = u . i <= |u| |i|. Items are ordered by
   descending norm, and a first pass scores every user against the top
-  BLOCK of them. The k-th largest of those scores, lb, is at most the
-  user's k-th score, so an item with |u| |i| < lb scores below it and can
-  neither enter the top k nor tie into it. The items that can are a
-  prefix of the norm order.
+  BLOCK of them, doubled until they hold 2k. The k-th largest of those
+  scores, lb, is at most the user's k-th score, so an item with
+  |u| |i| < lb scores below it and can neither enter the top k nor tie
+  into it. The items that can are a prefix of the norm order.
 - The margin. The prefix holds every item with |u| |i| >= lb - tau. tau
   is a multiple of (d + 2) eps |u| max|i| that covers the rounding of the
   first pass, of the later score and of the norms (the two products of a
   score can round differently, since BLAS blocks by shape), plus a tiny
   absolute term for underflow. Where lb <= tau (lb <= 0, a zero user, a
   user with fewer than k items left in the block) nothing is pruned.
-- The buckets. Prefix lengths are rounded up to BLOCK * 2^j, the last one
-  the whole catalogue. A user whose prefix is the first block finishes
-  from its first-pass row; the others are scored, user_batch at a time,
-  against their bucket's items in ascending item order, so columns keep
-  the lower-item tie rule. Train items are scored -inf, so they sort
-  after every remaining item. A score can be non-finite only for a user
-  where 2 |u| max|i| is not finite; those users' rows are checked before
-  any other score is made.
-- The selection. In the first pass lb is each row's exact k-th score
-  (a row partition). In a later block each row is folded into G >= k
-  groups (group j holds items j, j + G, ...) by an elementwise maximum,
-  and lb is the k-th largest group maximum: those k groups hold k
-  distinct items scoring at least lb. Every entry above lb is kept, then the entries equal to lb in column order until the row
+- The buckets. Prefix lengths are rounded up to the first block's width
+  times 2^j, the last one the whole catalogue. A user whose prefix is the
+  first block finishes from its first-pass row; the others are scored,
+  USER_BATCH at a time, against their bucket's items in ascending item
+  order, so columns keep the lower-item tie rule. Train items are scored
+  -inf, so they sort after every remaining item. A score can be
+  non-finite only for a user where 2 |u| max|i| is not finite; those
+  users' rows are checked before any other score is made.
+- The selection. Each row of a block is folded into G = min(width,
+  max(BLOCK, 4k, width / FOLD)) >= k groups (group j holds items j,
+  j + G, ...) by an elementwise maximum, and lb is the k-th largest
+  group maximum: those k groups hold k distinct items scoring at least
+  lb. The first block, at most max(BLOCK, 4k) items, has one item per
+  group, so there lb is the row's exact k-th score. Every entry above lb
+  is kept, then the entries equal to lb in column order until the row
   holds k, so a row keeps at most max(k, entries above lb) however many
   scores tie (many are exactly 0 at high sparsity). A stable sort of the
-  kept entries, padded into a block, gives the first k of the full stable
-  sort. Metrics are summed user_batch users at a time in user order.
+  kept entries, padded into a block, gives the first k of the full
+  stable sort. Metrics are summed USER_BATCH users at a time in order.
 
 Rounding. Each item is ranked by the score its user's last block gives
 it, and the BLAS rounds an entry of a product differently with the
@@ -51,7 +53,7 @@ product's shape and the entry's place in it (one user's row goes through
 a matrix-vector kernel, for one). So two scores within a rounding error of
 each other, a few (d + 2) eps |u| max|i|, can order differently than in
 one full (users x items) product, as they already could between two
-values of user_batch. tau keeps the pruning safe under any such rounding:
+values of USER_BATCH. tau keeps the pruning safe under any such rounding:
 no item is dropped whose score could reach the k-th. With scores that are
 exact (integer embeddings) the ranking equals the full stable sort.
 """
@@ -64,13 +66,15 @@ import numpy as np
 
 from .data import InteractionDataset, _in_sorted
 from .embeddings import EmbeddingTable, SparseMask, apply_mask
-from .models import BackboneConfig, combined_embeddings, score_matrix
+from .models import BackboneConfig, combined_embeddings
 
 SIDES = ("users", "items")
 # items per group of the group-max bound (fewer when k needs more groups)
 FOLD = 8
-# items of the first pass: the top of the catalogue by norm
+# items of the first pass, the top of the catalogue by norm (doubled for k)
 BLOCK = 128
+# users scored, and their metrics summed, per product
+USER_BATCH = 512
 
 
 @dataclass
@@ -106,12 +110,7 @@ def _require_test_split(ds: InteractionDataset) -> None:
         raise ValueError("dataset has no test interactions")
 
 
-def evaluate_combined(
-    combined: np.ndarray,
-    ds: InteractionDataset,
-    k: int,
-    user_batch: int = 512,
-) -> MetricsReport:
+def evaluate_combined(combined: np.ndarray, ds: InteractionDataset, k: int) -> MetricsReport:
     """Rank with precomputed scorer-ready embeddings (masked, propagated).
 
     Raises FloatingPointError naming the first user with a non-finite
@@ -119,8 +118,6 @@ def evaluate_combined(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if user_batch < 1:
-        raise ValueError(f"user_batch must be >= 1, got {user_batch}")
     _require_test_split(ds)
     if len(combined) != ds.num_users + ds.num_items:
         raise ValueError(f"combined has {len(combined)} rows for "
@@ -132,7 +129,7 @@ def evaluate_combined(
     test_users = np.flatnonzero(test_counts)
     kk = min(k, num_items)
     train = _train_lists(ds, user_starts, test_users)
-    top = _top_items(combined, ds, test_users, train, kk, user_batch)
+    top = _top_items(combined, ds, test_users, train, kk)
     gains = 1.0 / np.log2(np.arange(1, kk + 1) + 1.0)
     # idcg[m] = best possible DCG with m relevant items, m in [0, kk]
     idcg = np.concatenate([[0.0], np.cumsum(gains)])
@@ -142,12 +139,12 @@ def evaluate_combined(
     hr_sum = 0.0
     # summed chunk by chunk in user order, so the totals do not depend on
     # the order in which users were ranked
-    for start in range(0, len(test_users), user_batch):
-        chunk = test_users[start : start + user_batch]
+    for start in range(0, len(test_users), USER_BATCH):
+        chunk = test_users[start : start + USER_BATCH]
         # a train item (never a test item) takes a top slot only when fewer
         # than kk items remain, and is never relevant
         hit = _in_sorted(ds._test_keys,
-                         chunk[:, None] * np.int64(num_items) + top[start : start + user_batch])
+                         chunk[:, None] * np.int64(num_items) + top[start : start + USER_BATCH])
         dcg = np.where(hit, gains, 0.0).sum(axis=1)
         n_test = test_counts[chunk]
         hits = hit.sum(axis=1)
@@ -197,13 +194,13 @@ def _column_map(cols: np.ndarray, num_items: int) -> np.ndarray:
     return col_of
 
 
-def _raise_on_non_finite(combined: np.ndarray, num_users: int, users: np.ndarray,
-                         user_batch: int) -> None:
-    """FloatingPointError naming the first of users with a non-finite score."""
-    for start in range(0, len(users), user_batch):
-        chunk = users[start : start + user_batch]
+def _raise_on_non_finite(combined: np.ndarray, users: np.ndarray, emb: np.ndarray) -> None:
+    """FloatingPointError naming the first of users with a non-finite score
+    against the items emb, (dim, items)."""
+    for start in range(0, len(users), USER_BATCH):
+        chunk = users[start : start + USER_BATCH]
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(score_matrix(combined, num_users, chunk)).all(axis=1)
+            finite = np.isfinite(combined[chunk] @ emb).all(axis=1)
         if not finite.all():
             raise FloatingPointError(f"non-finite score for user {chunk[np.argmin(finite)]}")
 
@@ -221,7 +218,7 @@ def _candidates(lb: np.ndarray, tau: np.ndarray, user_norms: np.ndarray,
 
 
 def _top_items(combined: np.ndarray, ds: InteractionDataset, users: np.ndarray, train: tuple,
-               kk: int, user_batch: int) -> np.ndarray:
+               kk: int) -> np.ndarray:
     """(len(users), kk) items of each user's kk best, best first, scoring
     each user only against the items its norm bound leaves (see the module
     docstring); train is _train_lists of users. Raises FloatingPointError,
@@ -237,7 +234,7 @@ def _top_items(combined: np.ndarray, ds: InteractionDataset, users: np.ndarray, 
         # than a factor 2, so only these users can have a non-finite score
         unsafe = ~np.isfinite(2.0 * user_norms * top_norm)
         if unsafe.any():
-            _raise_on_non_finite(combined, num_users, users[unsafe], user_batch)
+            _raise_on_non_finite(combined, users[unsafe], items.T)
         # tau covers the rounding between a first-pass score, the same score
         # in a later block and the bound |u| |i|: the two d-term dot products
         # and the norms each err by at most about (d + 2) eps |u| |i|; the
@@ -245,39 +242,42 @@ def _top_items(combined: np.ndarray, ds: InteractionDataset, users: np.ndarray, 
         tau = (8 * (dim + 2) * np.finfo(np.float64).eps * user_norms * top_norm
                + 1e-150 * (user_norms + top_norm + 1.0))
     perm = np.argsort(-item_norms, kind="stable")
-    width = min(BLOCK, num_items)
+    # first pass: every user against the top BLOCK * 2^j >= 2 kk items by
+    # norm, or the whole catalogue
+    width = BLOCK
+    while width < 2 * kk:
+        width *= 2
+    width = min(width, num_items)
+    first = np.sort(perm[:width])
+    col_of = _column_map(first, num_items)
+    emb = items[first].T
+    neg_sorted_norms = -item_norms[perm]
     top = np.empty((len(users), kk), dtype=np.intp)
-    prefix = np.full(len(users), num_items)
-    if width >= kk:
-        # first pass: every user against the top block of items by norm
-        first = np.sort(perm[:width])
-        col_of = _column_map(first, num_items)
-        emb = items[first].T
-        neg_sorted_norms = -item_norms[perm]
-        for start in range(0, len(users), user_batch):
-            pos = np.arange(start, min(start + user_batch, len(users)))
-            block = combined[users[pos]] @ emb
-            _exclude(block, pos, train, col_of)
-            # the kk-th largest score of the block, -inf when fewer than kk
-            # block items remain: at most the user's kk-th largest score
-            lb = np.partition(block, width - kk, axis=1)[:, width - kk]
-            count = _candidates(lb, tau[pos], user_norms[pos], neg_sorted_norms)
-            # prefix lengths BLOCK * 2^j, the last one the whole catalogue
-            length = np.full(len(pos), width)
-            while (short := length < count).any():
-                length[short] *= 2
-            prefix[pos] = np.minimum(length, num_items)
-            # users whose candidates all lie in the block finish here
-            done = prefix[pos] == width
-            if done.any():
-                top[pos[done]] = first[_top_columns(block[done], lb[done], kk)]
+    prefix = np.empty(len(users), dtype=np.intp)
+    for start in range(0, len(users), USER_BATCH):
+        pos = np.arange(start, min(start + USER_BATCH, len(users)))
+        block = combined[users[pos]] @ emb
+        _exclude(block, pos, train, col_of)
+        # the block's kk-th largest score, -inf when fewer than kk block
+        # items remain: at most the user's kk-th largest score
+        lb = _lower_bound(block, kk)
+        count = _candidates(lb, tau[pos], user_norms[pos], neg_sorted_norms)
+        # prefix lengths width * 2^j, the last one the whole catalogue
+        length = np.full(len(pos), width)
+        while (short := length < count).any():
+            length[short] *= 2
+        prefix[pos] = np.minimum(length, num_items)
+        # users whose candidates all lie in the block finish here
+        done = prefix[pos] == width
+        if done.any():
+            top[pos[done]] = first[_top_columns(block[done], lb[done], kk)]
     for length in np.unique(prefix[prefix > width]):
         members = np.flatnonzero(prefix == length)
         cols = np.sort(perm[:length])
         col_of = _column_map(cols, num_items)
         emb = items[cols].T
-        for start in range(0, len(members), user_batch):
-            pos = members[start : start + user_batch]
+        for start in range(0, len(members), USER_BATCH):
+            pos = members[start : start + USER_BATCH]
             block = combined[users[pos]] @ emb
             _exclude(block, pos, train, col_of)
             top[pos] = cols[_top_columns(block, _lower_bound(block, kk), kk)]
@@ -288,10 +288,11 @@ def _top_items(combined: np.ndarray, ds: InteractionDataset, users: np.ndarray, 
 
 def _lower_bound(scores: np.ndarray, kk: int) -> np.ndarray:
     """Per row, a lower bound on its kk-th largest score, 1 <= kk <=
-    scores.shape[1]: the kk-th largest group maximum."""
+    scores.shape[1]: the kk-th largest group maximum, exact on a block of
+    at most max(BLOCK, 4 kk) columns, one per group, as every first block is."""
     width = scores.shape[1]
-    # at least kk groups, each holding at least one item (kk <= width)
-    groups = max(kk, -(-width // FOLD))
+    # at least kk groups (kk <= width), each holding at least one item
+    groups = min(width, max(BLOCK, 4 * kk, -(-width // FOLD)))
     # group j's maximum over items j, j + groups, ...: one pass over the
     # row's slices, the last one ragged
     gmax = scores[:, :groups].copy()
@@ -335,7 +336,6 @@ def evaluate(
     mask: SparseMask,
     ds: InteractionDataset,
     k: int,
-    user_batch: int = 512,
 ) -> MetricsReport:
     """Recall@k, NDCG@k and HR@k under full ranking with train exclusion.
 
@@ -347,7 +347,7 @@ def evaluate(
         raise ValueError(f"table has (users, items) = {(table.num_users, table.num_items)}, "
                          f"dataset has {(ds.num_users, ds.num_items)}")
     combined = combined_embeddings(cfg, apply_mask(table, mask))
-    return evaluate_combined(combined, ds, k, user_batch=user_batch)
+    return evaluate_combined(combined, ds, k)
 
 
 def sparsity_profile(

@@ -115,11 +115,6 @@ def combined_embeddings(cfg: BackboneConfig, weights: np.ndarray) -> np.ndarray:
     return lightgcn_propagate(cfg, weights)
 
 
-def score_matrix(combined: np.ndarray, num_users: int, users: np.ndarray) -> np.ndarray:
-    """(len(users), num_items) score block for full ranking."""
-    return combined[np.asarray(users)] @ combined[num_users:].T
-
-
 def _incidence(rows: np.ndarray, num_rows: int) -> sp.csc_matrix:
     """(num_rows, len(rows)) matrix with a 1 at (rows[k], k).
 

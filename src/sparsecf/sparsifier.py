@@ -131,9 +131,7 @@ def select_prune(table: EmbeddingTable, mask: SparseMask, rho_t: float) -> np.nd
     return chosen if isinstance(index, slice) else index[chosen]
 
 
-def select_grow(
-    grad: np.ndarray, mask: SparseMask, k: int, exclude: np.ndarray | None = None
-) -> np.ndarray:
+def select_grow(grad: np.ndarray, mask: SparseMask, k: int, exclude: np.ndarray) -> np.ndarray:
     """Flat positions of the k inactive entries with largest |gradient|.
 
     Positions listed in exclude (the ones pruned in the same event) are
@@ -148,8 +146,7 @@ def select_grow(
     taken, then zeros in ascending index order.
     """
     eligible = ~mask.bits.ravel()
-    if exclude is not None:
-        eligible[exclude] = False
+    eligible[exclude] = False
     inactive = np.flatnonzero(eligible)
     if k > len(inactive):
         raise ValueError(f"cannot grow {k} entries, only {len(inactive)} eligible")

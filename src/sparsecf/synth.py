@@ -11,6 +11,11 @@ import numpy as np
 
 from .data import InteractionDataset, make_dataset
 
+# latent clusters of users and items
+NUM_CLUSTERS = 12
+# how much a user's cluster raises the weight of the items it favours
+AFFINITY_STRENGTH = 4.0
+
 
 def _gumbel_topk(weights: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Sample k indices without replacement, proportional to weights."""
@@ -22,9 +27,7 @@ def generate_interactions(
     num_users: int = 943,
     num_items: int = 1682,
     avg_degree: float = 100.0,
-    num_clusters: int = 12,
     popularity_exponent: float = 1.0,
-    affinity_strength: float = 4.0,
     min_degree: int = 20,
     seed: int = 0,
 ) -> InteractionDataset:
@@ -52,8 +55,8 @@ def generate_interactions(
     # shuffle so item index carries no popularity information
     popularity = popularity[rng.permutation(num_items)]
 
-    user_cluster = rng.integers(0, num_clusters, size=num_users)
-    item_mix = rng.dirichlet(np.full(num_clusters, 0.3), size=num_items)
+    user_cluster = rng.integers(0, NUM_CLUSTERS, size=num_users)
+    item_mix = rng.dirichlet(np.full(NUM_CLUSTERS, 0.3), size=num_items)
 
     mean_log = np.log(avg_degree)
     degrees = rng.lognormal(mean=mean_log, sigma=0.5, size=num_users)
@@ -61,7 +64,7 @@ def generate_interactions(
 
     edges = []
     for u in range(num_users):
-        weights = popularity * (1.0 + affinity_strength * item_mix[:, user_cluster[u]])
+        weights = popularity * (1.0 + AFFINITY_STRENGTH * item_mix[:, user_cluster[u]])
         items = _gumbel_topk(weights, int(degrees[u]), rng)
         for i in items:
             edges.append((u, int(i)))

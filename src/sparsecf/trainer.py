@@ -23,7 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .costs import CostReport, macs_forward_batch, macs_inference, macs_training, memory_bytes
-from .data import InteractionDataset, _json_text, _write_split_manifest, sample_batch
+from .data import (
+    InteractionDataset,
+    _json_text,
+    _split_digest,
+    _write_split_manifest,
+    sample_batch,
+)
 from .embeddings import (
     EmbeddingTable,
     OptimizerState,
@@ -186,14 +192,15 @@ def write_csv(path, columns, rows) -> None:
         writer.writerows(rows)
 
 
-def _completion_text(config: dict) -> str:
-    """complete.json of a finished run of this resolved config."""
-    return _json_text({"config_sha1": config_digest(config)})
+def _completion_text(config: dict, ds: InteractionDataset) -> str:
+    """complete.json of a finished run of this resolved config on this split."""
+    return _json_text({"config_sha1": config_digest(config), "split_sha1": _split_digest(ds)})
 
 
 def _write_run_dir(out_dir, art: RunArtifacts, ds: InteractionDataset, cfg: RunConfig) -> None:
-    """Write the run directory. complete.json, holding the digest of the
-    resolved config, is written last and only for a finished run."""
+    """Write the run directory. complete.json, holding the digests of the
+    resolved config and of the split, is written last and only for a
+    finished run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / "complete.json"
@@ -206,13 +213,14 @@ def _write_run_dir(out_dir, art: RunArtifacts, ds: InteractionDataset, cfg: RunC
     save_checkpoint(out / "checkpoint.final", art.table, art.mask)
     _write_split_manifest(out, ds, {"data_dir": cfg.data_dir})
     if not art.aborted:
-        marker.write_text(_completion_text(art.config), encoding="utf-8")
+        marker.write_text(_completion_text(art.config, ds), encoding="utf-8")
 
 
-def is_complete(run_dir, cfg: RunConfig) -> bool:
-    """Whether run_dir holds a finished run of exactly this config."""
+def is_complete(run_dir, cfg: RunConfig, ds: InteractionDataset) -> bool:
+    """Whether run_dir holds a finished run of exactly this config on exactly
+    this split."""
     marker = Path(run_dir) / "complete.json"
-    expected = _completion_text(cfg.resolved())
+    expected = _completion_text(cfg.resolved(), ds)
     return marker.exists() and marker.read_text(encoding="utf-8") == expected
 
 

@@ -315,6 +315,30 @@ def test_sweep_resume_retrains_a_changed_config(data_dir, tmp_path, capsys):
     assert config["t_end"] == 90
 
 
+def test_sweep_resume_retrains_a_cell_whose_split_was_replaced(tmp_path, capsys):
+    data = tmp_path / "data"
+
+    def prepare(seed):
+        assert main(["prepare", "--synthetic", "--users", "60", "--items", "120",
+                     "--avg-degree", "15", "--min-degree", "5", "--seed", str(seed),
+                     "--out", str(data)]) == 0
+
+    spec = sweep_spec(tmp_path, data, methods=["dsl"], seeds=[0],
+                      base={"dim": 8, "t_end": 40, "delta_t": 20, "batch_size": 32, "eval_k": 10})
+    prepare(1)
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 0
+    old = (tmp_path / "sweep" / "runs.csv").read_text()
+    # the same data directory, now holding another split
+    prepare(2)
+    capsys.readouterr()
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep"), "--resume"]) == 0
+    assert "(resumed)" not in capsys.readouterr().out
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "fresh")]) == 0
+    resumed = (tmp_path / "sweep" / "runs.csv").read_text()
+    assert resumed == (tmp_path / "fresh" / "runs.csv").read_text()
+    assert resumed != old
+
+
 def test_sweep_parallel_workers_match_serial(data_dir, tmp_path):
     spec = sweep_spec(tmp_path, data_dir, methods=["rp", "dsl"], seeds=[0])
     assert main(["sweep", str(spec), "--out", str(tmp_path / "serial")]) == 0

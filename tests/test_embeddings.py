@@ -18,6 +18,7 @@ from sparsecf import (
     save_checkpoint,
     target_active_count,
 )
+from sparsecf.embeddings import INIT_SCALE
 
 
 def table_of(weights, num_users=None):
@@ -74,9 +75,9 @@ def test_mask_bits_change_only_through_move(rng):
 
 
 def test_init_table_shape_and_scale(rng):
-    t = init_table(50, 70, 8, rng, scale=0.01)
+    t = init_table(50, 70, 8, rng)
     assert t.weights.shape == (120, 8)
-    assert abs(t.weights.std() - 0.01) < 0.002
+    assert abs(t.weights.std() - INIT_SCALE) < 0.2 * INIT_SCALE
 
 
 def test_apply_mask_identity_and_idempotence(rng):
@@ -305,6 +306,21 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
         with pytest.raises(ValueError, match=key) as exc_info:
             load_checkpoint(path)
         assert str(path) in str(exc_info.value)
+
+
+def test_checkpoint_rejects_a_sparsity_its_mask_contradicts(tmp_path, rng):
+    t = table_of(rng.normal(size=(20, 6)))
+    mask = init_mask((20, 6), 0.5, rng)
+    t.weights[~mask.bits] = 0.0
+    path = tmp_path / "ckpt"
+    save_checkpoint(path, t, mask)
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["sparsity"] = 0.9
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    with pytest.raises(ValueError, match="12 active of 120 entries, the mask has 60$") as exc_info:
+        load_checkpoint(path)
+    assert str(path) in str(exc_info.value)
 
 
 def test_checkpoint_size_is_modelled_memory_plus_header(tmp_path, rng):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,18 @@ from sparsecf import (
     sparsity_profile,
 )
 from sparsecf import evaluation
-from sparsecf.models import score_matrix
 
 
 def dense_mask(shape):
     return SparseMask(np.ones(shape, dtype=bool))
+
+
+@contextmanager
+def user_batch(n):
+    """evaluation.USER_BATCH set to n inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "USER_BATCH", n)
+        yield
 
 
 def eval_scores(scores, ds, k):
@@ -168,8 +176,10 @@ def test_evaluate_batched_equals_unbatched(rng):
     train = [e for e in edges if e not in set(test)]
     ds = make_dataset(30, 7, train, test)
     combined = rng.normal(size=(37, 5))
-    a = evaluate_combined(combined, ds, 3, user_batch=4)
-    b = evaluate_combined(combined, ds, 3, user_batch=512)
+    with user_batch(4):
+        a = evaluate_combined(combined, ds, 3)
+    with user_batch(512):
+        b = evaluate_combined(combined, ds, 3)
     assert a.users_evaluated == b.users_evaluated
     # chunked accumulation changes the float summation order
     assert a.recall == pytest.approx(b.recall, rel=1e-12)
@@ -187,11 +197,6 @@ def test_evaluate_validates_inputs(rng):
     split = make_dataset(3, 4, [(0, 0), (1, 1)], [(0, 1), (1, 2), (2, 3)])
     table = EmbeddingTable(3, 4, 2, rng.normal(size=(7, 2)))
     mf = BackboneConfig(kind="mf")
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="user_batch"):
-            evaluate_combined(table.weights, split, 2, user_batch=bad)
-        with pytest.raises(ValueError, match="user_batch"):
-            evaluate(mf, table, dense_mask((7, 2)), split, 2, user_batch=bad)
     # a table or embeddings of another split, also one with as many rows
     other = EmbeddingTable(4, 3, 2, table.weights)
     with pytest.raises(ValueError, match=r"= \(4, 3\), dataset has \(3, 4\)$"):
@@ -212,7 +217,7 @@ def test_non_finite_scores_name_the_user(rng, bad):
         evaluate_combined(combined, ds, 2)
 
 
-def full_sort_reference(combined, ds, k, user_batch):
+def full_sort_reference(combined, ds, k, batch):
     """Metrics from a full stable sort of every score row.
 
     The ranking of evaluate_combined before it selected only the top k:
@@ -230,9 +235,9 @@ def full_sort_reference(combined, ds, k, user_batch):
     gains = 1.0 / np.log2(np.arange(1, k + 1) + 1.0)
     idcg = np.concatenate([[0.0], np.cumsum(gains)])
     recall_sum = ndcg_sum = hr_sum = 0.0
-    for start in range(0, len(test_users), user_batch):
-        chunk = test_users[start : start + user_batch]
-        scores = score_matrix(combined, ds.num_users, chunk)
+    for start in range(0, len(test_users), batch):
+        chunk = test_users[start : start + batch]
+        scores = combined[chunk] @ combined[ds.num_users:].T
         excluded = np.zeros_like(scores, dtype=bool)
         relevant = np.zeros_like(scores, dtype=bool)
         for row, u in enumerate(chunk):
@@ -260,9 +265,9 @@ def full_sort_reference(combined, ds, k, user_batch):
     dim=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**31),
     k_over=st.integers(min_value=0, max_value=43),
-    user_batch=st.sampled_from([1, 3, 512]),
+    batch=st.sampled_from([1, 3, 512]),
 )
-def test_top_k_selection_matches_full_sort(num_users, num_items, dim, seed, k_over, user_batch):
+def test_top_k_selection_matches_full_sort(num_users, num_items, dim, seed, k_over, batch):
     rng = np.random.default_rng(seed)
     # 0: no interaction, 1: train, 2: test; train-heavy so that some users
     # keep fewer than k items after exclusion
@@ -272,8 +277,9 @@ def test_top_k_selection_matches_full_sort(num_users, num_items, dim, seed, k_ov
     # small integers: exact scores with many ties, zero rows included
     combined = rng.integers(-2, 3, size=(num_users + num_items, dim)).astype(np.float64)
     k = 1 + k_over % (num_items + 3)  # up to 3 beyond the catalog
-    rep = evaluate_combined(combined, ds, k, user_batch=user_batch)
-    recall, ndcg, hr = full_sort_reference(combined, ds, k, user_batch)
+    with user_batch(batch):
+        rep = evaluate_combined(combined, ds, k)
+    recall, ndcg, hr = full_sort_reference(combined, ds, k, batch)
     assert rep.recall == recall
     assert rep.hr == hr
     # a DCG sums k gains instead of a full row with zeros between them, so
@@ -288,11 +294,11 @@ def test_top_k_selection_matches_full_sort(num_users, num_items, dim, seed, k_ov
     dim=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**31),
     k=st.integers(min_value=1, max_value=60),
-    user_batch=st.sampled_from([1, 3, 512]),
+    batch=st.sampled_from([1, 3, 512]),
     levels=st.sampled_from([2, 1000]),
 )
 def test_top_k_selection_matches_full_sort_across_folds(
-    num_users, num_items, dim, seed, k, user_batch, levels
+    num_users, num_items, dim, seed, k, batch, levels
 ):
     # catalogues long enough to fold into many groups, the last one ragged
     rng = np.random.default_rng(seed)
@@ -317,8 +323,9 @@ def test_top_k_selection_matches_full_sort_across_folds(
     combined[num_users:, dim] = -np.arange(num_items)
     # the last user's row is zero, so every one of its scores is equal
     combined[num_users - 1] = 0.0
-    rep = evaluate_combined(combined, ds, k, user_batch=user_batch)
-    recall, ndcg, hr = full_sort_reference(combined, ds, k, user_batch)
+    with user_batch(batch):
+        rep = evaluate_combined(combined, ds, k)
+    recall, ndcg, hr = full_sort_reference(combined, ds, k, batch)
     assert rep.recall == recall
     assert rep.hr == hr
     assert rep.ndcg == pytest.approx(ndcg, abs=1e-15)
@@ -327,17 +334,17 @@ def test_top_k_selection_matches_full_sort_across_folds(
 def stable_top_items(combined, ds, users, k):
     """Each user's first k items of a stable descending sort of its scores,
     train items scored -inf."""
-    scores = score_matrix(combined, ds.num_users, users)
+    scores = combined[users] @ combined[ds.num_users:].T
     for row, u in enumerate(users):
         scores[row, ds.train_edges[ds.train_edges[:, 0] == u, 1]] = -np.inf
     return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
-def bounded_top_items(combined, ds, users, k, user_batch):
+def bounded_top_items(combined, ds, users, k):
     """evaluation._top_items of users, the ranking evaluate_combined scores."""
     user_starts = np.arange(ds.num_users + 1) * np.int64(ds.num_items)
     train = evaluation._train_lists(ds, user_starts, users)
-    return evaluation._top_items(combined, ds, users, train, k, user_batch)
+    return evaluation._top_items(combined, ds, users, train, k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -348,10 +355,10 @@ def bounded_top_items(combined, ds, users, k, user_batch):
     extra_dims=st.integers(min_value=0, max_value=2),
     seed=st.integers(min_value=0, max_value=2**31),
     k_over=st.integers(min_value=0, max_value=400),
-    user_batch=st.sampled_from([1, 3, 512]),
+    batch=st.sampled_from([1, 3, 512]),
 )
 def test_norm_bound_keeps_the_ranking_exact(num_users, num_items, extra_dims, seed, k_over,
-                                            user_batch):
+                                            batch):
     rng = np.random.default_rng(seed)
     dim = 3 + extra_dims
     # 0: no interaction, 1: train, 2: test
@@ -374,15 +381,17 @@ def test_norm_bound_keeps_the_ranking_exact(num_users, num_items, extra_dims, se
     combined[1] = 0.0  # a zero user: every score ties at 0
     combined[2] = -combined[ds.num_users:].sum(axis=0)  # mostly negative scores, lb <= 0
     k = 1 + k_over % (num_items + 3)  # k above the first block, and above the catalogue
-    rep = evaluate_combined(combined, ds, k, user_batch=user_batch)
-    recall, ndcg, hr = full_sort_reference(combined, ds, k, user_batch)
+    with user_batch(batch):
+        rep = evaluate_combined(combined, ds, k)
+    recall, ndcg, hr = full_sort_reference(combined, ds, k, batch)
     assert rep.recall == recall
     assert rep.hr == hr
     assert rep.ndcg == pytest.approx(ndcg, abs=1e-15)
     users = np.unique(ds.test_edges[:, 0])
     kk = min(k, num_items)
-    np.testing.assert_array_equal(bounded_top_items(combined, ds, users, kk, user_batch),
-                                  stable_top_items(combined, ds, users, kk))
+    with user_batch(batch):
+        top = bounded_top_items(combined, ds, users, kk)
+    np.testing.assert_array_equal(top, stable_top_items(combined, ds, users, kk))
 
 
 @settings(max_examples=100, deadline=None)
@@ -392,10 +401,10 @@ def test_norm_bound_keeps_the_ranking_exact(num_users, num_items, extra_dims, se
     dim=st.sampled_from([1, 4, 16, 64]),
     seed=st.integers(min_value=0, max_value=2**31),
     k=st.integers(min_value=1, max_value=150),
-    user_batch=st.sampled_from([1, 3, 512]),
+    batch=st.sampled_from([1, 3, 512]),
 )
 def test_norm_bound_ranks_float_scores_as_one_full_product_up_to_rounding(
-    num_users, num_items, dim, seed, k, user_batch
+    num_users, num_items, dim, seed, k, batch
 ):
     # float embeddings: the users are ranked from products of several
     # shapes (the first block, one per bucket), which the BLAS rounds
@@ -418,10 +427,11 @@ def test_norm_bound_ranks_float_scores_as_one_full_product_up_to_rounding(
     items[dst[1], coord] = np.nextafter(items[dst[1], coord], np.inf)
     users = np.unique(ds.test_edges[:, 0])
     kk = min(k, num_items)
-    top = bounded_top_items(combined, ds, users, kk, user_batch)
+    with user_batch(batch):
+        top = bounded_top_items(combined, ds, users, kk)
     assert all(len(np.unique(row)) == kk for row in top)
     # one full product, train items at -inf, sorted
-    scores = score_matrix(combined, ds.num_users, users)
+    scores = combined[users] @ combined[ds.num_users:].T
     for row, u in enumerate(users):
         scores[row, ds.train_edges[ds.train_edges[:, 0] == u, 1]] = -np.inf
     want = -np.sort(-scores, axis=1)[:, :kk]
@@ -466,9 +476,9 @@ def test_bound_keeps_items_outside_the_first_block(case):
     assert (rep.recall, rep.hr) == (1.0, 1.0)
 
 
-def test_norm_bound_prunes_most_items(monkeypatch):
-    # skewed item norms, as a sparse table has: most items are small, a
-    # few popular ones large
+def pareto_catalogue():
+    """(ds, combined): 300 users, 2,000 items of skewed norms, as a sparse
+    table has: most items are small, a few popular ones large."""
     num_users, num_items = 300, 2000
     rng = np.random.default_rng(5)
     picked = np.argsort(rng.random((num_users, num_items)), axis=1)[:, :30]
@@ -477,6 +487,12 @@ def test_norm_bound_prunes_most_items(monkeypatch):
     ds = make_dataset(num_users, num_items, train, test)
     combined = rng.normal(size=(num_users + num_items, 16))
     combined[num_users:] *= rng.pareto(2.0, size=(num_items, 1))
+    return ds, combined
+
+
+def ranked_with_candidate_counts(monkeypatch, combined, ds, k):
+    """(report, counts): evaluate_combined's report and the number of
+    items each user's norm bound left, from the first pass."""
     counts = []
     candidates = evaluation._candidates
 
@@ -485,13 +501,29 @@ def test_norm_bound_prunes_most_items(monkeypatch):
         return counts[-1]
 
     monkeypatch.setattr(evaluation, "_candidates", record)
-    rep = evaluate_combined(combined, ds, 20)
-    counts = np.concatenate(counts)
-    assert len(counts) == num_users
-    assert np.median(counts) <= 0.25 * num_items, f"median {np.median(counts)} candidates"
-    recall, ndcg, hr = full_sort_reference(combined, ds, 20, 512)
+    rep = evaluate_combined(combined, ds, k)
+    recall, ndcg, hr = full_sort_reference(combined, ds, k, 512)
     assert (rep.recall, rep.hr) == (recall, hr)
     assert rep.ndcg == pytest.approx(ndcg, abs=1e-15)
+    return rep, np.concatenate(counts) if counts else np.empty(0)
+
+
+def test_norm_bound_prunes_most_items(monkeypatch):
+    ds, combined = pareto_catalogue()
+    _, counts = ranked_with_candidate_counts(monkeypatch, combined, ds, 20)
+    assert len(counts) == ds.num_users
+    assert np.median(counts) <= 0.25 * ds.num_items, f"median {np.median(counts)} candidates"
+
+
+def test_norm_bound_prunes_for_k_above_the_first_block(monkeypatch):
+    # k above BLOCK: the first block doubles until it holds k, and the
+    # bound still prunes
+    ds, combined = pareto_catalogue()
+    k = 200
+    assert k > evaluation.BLOCK
+    _, counts = ranked_with_candidate_counts(monkeypatch, combined, ds, k)
+    assert len(counts) == ds.num_users
+    assert np.median(counts) < ds.num_items, f"median {np.median(counts)} candidates"
 
 
 def test_peak_memory_stays_near_one_score_block():

@@ -11,7 +11,6 @@ from sparsecf import (
     combined_embeddings,
     lightgcn_propagate,
     make_dataset,
-    score_matrix,
 )
 from sparsecf.models import _incidence
 
@@ -123,15 +122,16 @@ def test_propagate_requires_adjacency():
 def test_mf_score_is_dot_product():
     t = table_of(1, 1, [[1.0, 2.0], [3.0, 4.0]])
     cfg = BackboneConfig(kind="mf")
-    assert score_matrix(combined_embeddings(cfg, t.weights), 1, [0])[0, 0] == 11.0
+    combined = combined_embeddings(cfg, t.weights)
+    assert combined[0] @ combined[1] == 11.0
 
 
 def test_lightgcn_score_single_pair():
     ds = make_dataset(1, 1, [(0, 0)])
     t = table_of(1, 1, [[1.0, 0.0], [0.0, 1.0]])
     cfg = lightgcn_cfg(ds, 1)
-    got = score_matrix(combined_embeddings(cfg, t.weights), 1, [0])[0, 0]
-    assert got == pytest.approx(0.5, abs=1e-15)
+    combined = combined_embeddings(cfg, t.weights)
+    assert combined[0] @ combined[1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_score_matrix_matches_scalar_scores(rng):
@@ -139,7 +139,8 @@ def test_score_matrix_matches_scalar_scores(rng):
     t = table_of(3, 4, rng.normal(size=(7, 3)))
     cfg = lightgcn_cfg(ds, 2)
     combined = combined_embeddings(cfg, t.weights)
-    mat = score_matrix(combined, 3, np.arange(3))
+    # the (users, items) block of one product, as evaluation scores it
+    mat = combined[:3] @ combined[3:].T
     for u in range(3):
         for i in range(4):
             assert mat[u, i] == pytest.approx(float(combined[u] @ combined[3 + i]), rel=1e-12)

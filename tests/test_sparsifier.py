@@ -18,6 +18,8 @@ from sparsecf import (
 )
 from sparsecf.sparsifier import is_exploration_iteration
 
+NO_EXCLUDE = np.empty(0, dtype=np.int64)
+
 # ---------------------------------------------------------------------------
 # independent selection oracles: plain python sort over every position
 
@@ -105,7 +107,7 @@ def test_select_grow_on_mostly_zero_gradients(rows, cols, zero_share, seed, k_fr
     k = int(k_frac * len(eligible))
     # a stable sort puts equal magnitudes in ascending index order
     want = np.sort(eligible[np.argsort(-np.abs(grad.ravel()[eligible]), kind="stable")[:k]])
-    assert select_grow(grad, mask, k).tolist() == want.tolist()
+    assert select_grow(grad, mask, k, NO_EXCLUDE).tolist() == want.tolist()
 
 
 def test_one_shot_prune_matches_oracle():
@@ -132,13 +134,13 @@ def test_select_prune_examples():
 def test_select_grow_examples():
     grad = np.array([[0.8, 0.2, 0.0]])
     mask = SparseMask(np.zeros((1, 3), dtype=bool))
-    assert select_grow(grad, mask, 1).tolist() == [0]
-    assert select_grow(grad, mask, 0).tolist() == []
+    assert select_grow(grad, mask, 1, NO_EXCLUDE).tolist() == [0]
+    assert select_grow(grad, mask, 0, NO_EXCLUDE).tolist() == []
     zeros = np.zeros((1, 4))
     m = SparseMask(np.array([[False, False, True, False]]))
-    assert select_grow(zeros, m, 2).tolist() == [0, 1]
+    assert select_grow(zeros, m, 2, NO_EXCLUDE).tolist() == [0, 1]
     with pytest.raises(ValueError, match="grow"):
-        select_grow(zeros, m, 4)
+        select_grow(zeros, m, 4, NO_EXCLUDE)
 
 
 def test_one_shot_examples():

@@ -33,6 +33,7 @@ from sparsecf import (
     target_active_count,
     train,
 )
+from sparsecf.data import _split_digest
 from sparsecf.embeddings import zero_inactive
 from sparsecf.models import lightgcn_propagate
 from sparsecf.sparsifier import is_exploration_iteration
@@ -148,8 +149,7 @@ def test_dense_training_matches_unmasked_reference(small_split):
 
     ss = np.random.SeedSequence(cfg.seed)
     table_ss, _, batch_ss = ss.spawn(3)
-    table = init_table(ds.num_users, ds.num_items, cfg.dim,
-                       np.random.default_rng(table_ss), 0.01)
+    table = init_table(ds.num_users, ds.num_items, cfg.dim, np.random.default_rng(table_ss))
     batch_rng = np.random.default_rng(batch_ss)
     bb = BackboneConfig(cfg.backbone, cfg.num_layers, cfg.l2_reg, None)
     ones = SparseMask(np.ones_like(table.weights, dtype=bool))
@@ -295,7 +295,8 @@ def test_run_dir_contents(tmp_path, small_split):
 def test_complete_marker_holds_config_digest(tmp_path, small_split):
     art = train(quick_cfg(run_id="done"), small_split, out_dir=tmp_path / "run")
     marker = json.loads((tmp_path / "run" / "complete.json").read_text())
-    assert marker == {"config_sha1": config_digest(art.config)}
+    assert marker == {"config_sha1": config_digest(art.config),
+                      "split_sha1": _split_digest(small_split)}
 
 
 def test_event_counts_logged_by_default(tmp_path, small_split):
@@ -398,7 +399,6 @@ def test_dsl_with_room_to_grow_trains(split_60x120):
     assert [ev.count for ev in art.events] == [259, 86]
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_run_aborted_at_exploration_keeps_the_budget(tmp_path, small_split):
     cfg = quick_cfg(optimizer="sgd", lr=1e200, delta_t=2, t_end=20, run_id="boom")
     with pytest.raises(TrainingAborted) as exc_info:
@@ -497,7 +497,8 @@ def test_learning_step_matches_reference(small_split, backbone, optimizer, spars
     rng = np.random.default_rng(seed)
     layers = 2 if backbone == "lightgcn" else 0
     bb = BackboneConfig.for_dataset(backbone, layers, ds, l2_reg=1e-2)
-    table = init_table(ds.num_users, ds.num_items, 8, rng, scale=0.1)
+    table = EmbeddingTable(ds.num_users, ds.num_items, 8,
+                           rng.normal(0.0, 0.1, size=(ds.num_users + ds.num_items, 8)))
     if sparsity:
         mask = init_mask(table.weights.shape, sparsity, rng)
         zero_inactive(table, mask)
