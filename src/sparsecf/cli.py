@@ -334,8 +334,10 @@ def cmd_profile(args) -> int:
         print("error: dataset location unknown; pass --data", file=sys.stderr)
         return 2
     ds = load_dataset(data_dir)
-    if (ds.num_users, ds.num_items) != (table.num_users, table.num_items):
-        print("error: dataset does not match checkpoint dimensions", file=sys.stderr)
+    shape, ckpt_shape = (ds.num_users, ds.num_items), (table.num_users, table.num_items)
+    if shape != ckpt_shape:
+        print(f"error: {data_dir} has (users, items) = {shape}, but {ckpt} holds {ckpt_shape}",
+              file=sys.stderr)
         return 2
 
     rows = []

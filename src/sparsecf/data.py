@@ -82,7 +82,7 @@ def make_dataset(num_users, num_items, train_edges, test_edges=()) -> Interactio
     """Build a validated dataset from raw edge lists.
 
     Checks index ranges, rejects duplicate pairs within a split and any
-    overlap between splits.
+    overlap between splits, naming the first shared pair.
     """
     # every key user * num_items + item, and the bound num_users * num_items
     # of the last user's keys, must fit in int64
@@ -103,8 +103,10 @@ def make_dataset(num_users, num_items, train_edges, test_edges=()) -> Interactio
         raise ValueError("duplicate (user, item) pair in train split")
     if _has_duplicates(test_keys):
         raise ValueError("duplicate (user, item) pair in test split")
-    if _in_sorted(train_keys, test_keys).any():
-        raise ValueError("train and test splits overlap")
+    shared = _in_sorted(train_keys, test_keys)
+    if shared.any():
+        user, item = divmod(int(test_keys[shared.argmax()]), int(num_items))
+        raise ValueError(f"train and test splits overlap at user {user}, item {item}")
     return InteractionDataset(
         num_users=int(num_users),
         num_items=int(num_items),
@@ -391,7 +393,9 @@ def load_dataset(data_dir) -> InteractionDataset:
     """Load a dataset directory written by save_dataset.
 
     Each file is parsed and checked once; the index spaces are train.txt's,
-    widened to cover any larger index in test.txt.
+    widened to cover any larger index in test.txt. A split make_dataset
+    rejects, e.g. one whose files share a pair, raises DataFormatError
+    naming the directory.
     """
     data_dir = Path(data_dir)
     train_path = data_dir / "train.txt"
@@ -407,4 +411,7 @@ def load_dataset(data_dir) -> InteractionDataset:
             test, _ = _checked_edges(test_path, arr, declared)
             num_users = max(num_users, int(test[:, 0].max()) + 1)
             num_items = max(num_items, int(test[:, 1].max()) + 1)
-    return make_dataset(num_users, num_items, train, test)
+    try:
+        return make_dataset(num_users, num_items, train, test)
+    except ValueError as exc:
+        raise DataFormatError(f"{data_dir}: {exc}") from None

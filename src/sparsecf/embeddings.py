@@ -149,7 +149,7 @@ class OptimizerState:
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"kind must be 'sgd' or 'adam', got {self.kind!r}")
+            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.kind!r}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
 

@@ -68,7 +68,6 @@ from .data import InteractionDataset, _in_sorted
 from .embeddings import EmbeddingTable, SparseMask, apply_mask
 from .models import BackboneConfig, combined_embeddings
 
-SIDES = ("users", "items")
 # items per group of the group-max bound (fewer when k needs more groups)
 FOLD = 8
 # items of the first pass, the top of the catalogue by norm (doubled for k)
@@ -362,15 +361,13 @@ def sparsity_profile(
     num_groups buckets whose sizes differ by at most one. Row sparsity is
     the masked-out fraction of that row's entries.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    popularity = ds.train_degrees(side).astype(np.float64)  # rejects an unknown side
     if side == "users":
         bits = mask.bits[: ds.num_users]
     else:
         bits = mask.bits[ds.num_users :]
     if not 1 <= num_groups <= len(bits):
         raise ValueError(f"num_groups must be in [1, {len(bits)}], got {num_groups}")
-    popularity = ds.train_degrees(side).astype(np.float64)
     row_sparsity = 1.0 - bits.sum(axis=1) / bits.shape[1]
     order = np.argsort(popularity, kind="stable")
     profile = SparsityProfile(side=side, num_groups=num_groups)

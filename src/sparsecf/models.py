@@ -77,9 +77,9 @@ class BackboneConfig:
 
     def __post_init__(self):
         if self.kind not in BACKBONES:
-            raise ValueError(f"kind must be one of {BACKBONES}, got {self.kind!r}")
+            raise ValueError(f"backbone must be one of {BACKBONES}, got {self.kind!r}")
         if self.layers < 0:
-            raise ValueError(f"layers must be >= 0, got {self.layers}")
+            raise ValueError(f"num_layers must be >= 0, got {self.layers}")
         if self.l2_reg < 0:
             raise ValueError(f"l2_reg must be >= 0, got {self.l2_reg}")
 
@@ -95,8 +95,6 @@ class BackboneConfig:
 
 def lightgcn_propagate(cfg: BackboneConfig, weights: np.ndarray) -> np.ndarray:
     """Mean of the layer-0..L embeddings under E_l = adj @ E_{l-1}."""
-    if cfg.layers == 0:
-        return weights.copy()
     if cfg.adjacency is None:
         raise ValueError("lightgcn propagation needs cfg.adjacency")
     out = weights.copy()

@@ -74,10 +74,9 @@ class TrainingAborted(RuntimeError):
     checkpoint and all rows logged before the abort.
     """
 
-    def __init__(self, iteration: int, message: str, artifacts=None):
+    def __init__(self, iteration: int, message: str):
         super().__init__(f"iteration {iteration}: {message}")
         self.iteration = iteration
-        self.artifacts = artifacts
 
 
 @dataclass
@@ -121,18 +120,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         self.schedule()  # checks rho0, delta_t, t_end and decay, for every method
         # the rules of the backbone and the optimizer, each checked by its owner
-        for name, check in (
-            ("backbone", lambda: BackboneConfig(kind=self.backbone)),
-            ("num_layers", lambda: BackboneConfig(layers=self.num_layers)),
-            ("l2_reg", lambda: BackboneConfig(l2_reg=self.l2_reg)),
-            ("optimizer", lambda: OptimizerState(self.optimizer, 1.0)),
-            ("lr", lambda: OptimizerState("sgd", self.lr)),
-        ):
-            try:
-                check()
-            except ValueError as exc:
-                # the owner's message starts with the name of its own parameter
-                raise ValueError(f"{name} {str(exc).split(' ', 1)[1]}") from None
+        BackboneConfig(self.backbone, self.num_layers, self.l2_reg)
+        OptimizerState(self.optimizer, self.lr)
 
     @property
     def effective_sparsity(self) -> float:
@@ -164,7 +153,7 @@ def config_digest(config: dict) -> str:
 
 @dataclass
 class RunArtifacts:
-    """Everything a finished (or aborted) run produced, in memory."""
+    """Everything a run produced, in memory."""
 
     run_id: str
     config: dict
@@ -174,7 +163,6 @@ class RunArtifacts:
     events: list = field(default_factory=list)
     losses: list = field(default_factory=list)  # (t, loss) at learning iterations
     cost: CostReport | None = None
-    aborted: bool = False
 
     @property
     def final_metrics(self) -> dict:
@@ -197,10 +185,11 @@ def _completion_text(config: dict, ds: InteractionDataset) -> str:
     return _json_text({"config_sha1": config_digest(config), "split_sha1": _split_digest(ds)})
 
 
-def _write_run_dir(out_dir, art: RunArtifacts, ds: InteractionDataset, cfg: RunConfig) -> None:
+def _write_run_dir(out_dir, art: RunArtifacts, ds: InteractionDataset, cfg: RunConfig,
+                   finished: bool) -> None:
     """Write the run directory. complete.json, holding the digests of the
-    resolved config and of the split, is written last and only for a
-    finished run."""
+    resolved config and of the split, is written last and only when the
+    run finished."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / "complete.json"
@@ -212,7 +201,7 @@ def _write_run_dir(out_dir, art: RunArtifacts, ds: InteractionDataset, cfg: RunC
             fh.write(json.dumps(ev.log_entry(), sort_keys=True) + "\n")
     save_checkpoint(out / "checkpoint.final", art.table, art.mask)
     _write_split_manifest(out, ds, {"data_dir": cfg.data_dir})
-    if not art.aborted:
+    if finished:
         marker.write_text(_completion_text(art.config, ds), encoding="utf-8")
 
 
@@ -313,8 +302,7 @@ class _Run:
                 if snapshot:
                     art.metrics.append(self.snapshot_metrics(t))
             except FloatingPointError as exc:
-                art.aborted = True
-                raise TrainingAborted(t, str(exc), art) from exc
+                raise TrainingAborted(t, str(exc)) from exc
             if snapshot and snapshot_hook is not None:
                 snapshot_hook(t, table, mask)
 
@@ -329,7 +317,8 @@ def train(
 
     Runs the phases of cfg.method in turn; metric rows and costs
     accumulate across them. Writes the run directory when out_dir is
-    given, also when the run aborts. Deterministic given cfg and seed.
+    given, also when the run aborts; an abort then raises TrainingAborted,
+    so every run returned finished. Deterministic given cfg and seed.
     A dataset without test interactions, or a dsl config that would run
     out of entries to grow, is rejected before any work.
     """
@@ -361,7 +350,7 @@ def train(
             memory_bytes=memory_bytes(art.mask.active_count, art.mask.total),
         )
     if out_dir is not None:
-        _write_run_dir(out_dir, art, ds, cfg)
+        _write_run_dir(out_dir, art, ds, cfg, abort is None)
     if abort is not None:
         raise abort
     return art

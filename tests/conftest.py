@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sparsecf import generate_interactions, make_dataset, split_holdout
+from sparsecf.data import make_dataset, split_holdout
+from sparsecf.synth import generate_interactions
 
 
 @pytest.fixture

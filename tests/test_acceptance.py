@@ -14,26 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from sparsecf import (
-    BackboneConfig,
-    EmbeddingTable,
-    ExplorationSchedule,
-    RunConfig,
-    bpr_loss_and_grad,
-    generate_interactions,
-    init_mask,
-    macs_inference,
-    make_dataset,
-    one_shot_magnitude_prune,
-    save_dataset,
-    select_grow,
-    select_prune,
-    split_holdout,
-    target_active_count,
-    train,
-    update_ratio,
-)
 from sparsecf.cli import main as cli_main
+from sparsecf.costs import macs_inference
+from sparsecf.data import make_dataset, save_dataset, split_holdout
+from sparsecf.embeddings import EmbeddingTable, init_mask, target_active_count
+from sparsecf.models import BackboneConfig, bpr_loss_and_grad
+from sparsecf.sparsifier import (ExplorationSchedule, one_shot_magnitude_prune, select_grow,
+                                 select_prune, update_ratio)
+from sparsecf.synth import generate_interactions
+from sparsecf.trainer import RunConfig, train
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from sparsecf import load_dataset, make_dataset, sample_batch, save_dataset, train
 from sparsecf.cli import SweepSpec, main
+from sparsecf.data import load_dataset, make_dataset, sample_batch, save_dataset
+from sparsecf.trainer import train
 
 ROOT = Path(__file__).resolve().parents[1]
 DECAYS = ("cosine", "linear", "none")
@@ -204,6 +205,16 @@ def test_train_rejects_a_split_without_test_interactions_before_training(tmp_pat
     assert rc == 2
     assert "error: dataset has no test interactions" in capsys.readouterr().err
     assert calls == []
+    assert not (tmp_path / "r").exists()
+
+
+def test_train_names_the_directory_and_the_pair_of_overlapping_splits(tmp_path, capsys):
+    d = tmp_path / "d"
+    save_dataset(make_dataset(3, 3, [(0, 0), (1, 1), (2, 2)], [(0, 1)]), d)
+    (d / "test.txt").write_text((d / "test.txt").read_text() + "2 2\n")
+    assert run_train(d, tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {d}: train and test splits overlap at user 2, item 2\n"
     assert not (tmp_path / "r").exists()
 
 
@@ -479,7 +490,6 @@ def test_decay_ablation_spec_trains_at_test_size(data_dir, decay):
     cfg = replace(spec.base, method=method, sparsity=sparsity, seed=seed,
                   data_dir=str(data_dir), dim=8, t_end=40, delta_t=10, batch_size=32)
     art = train(cfg, load_dataset(data_dir))
-    assert not art.aborted
     assert art.config["decay"] == decay
     assert art.final_metrics["iteration"] == 40
     assert len(art.events) == 3  # exploration at t = 10, 20, 30
@@ -512,6 +522,20 @@ def test_profile_dense_run_has_null_correlation(data_dir, tmp_path, capsys):
     assert "spearman = null" in capsys.readouterr().out
     summary = json.loads((run / "profile_summary.json").read_text())
     assert summary["spearman"]["items"] is None
+
+
+def test_profile_names_both_shapes_when_the_data_does_not_match(data_dir, tmp_path, capsys):
+    run, other = tmp_path / "run", tmp_path / "other"
+    assert run_train(data_dir, run, "--method", "dense") == 0
+    save_dataset(make_dataset(3, 4, [(0, 0), (1, 1), (2, 3)], [(0, 1)]), other)
+    ds = load_dataset(data_dir)
+    capsys.readouterr()
+    assert main(["profile", str(run), "--data", str(other)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {other} has (users, items) = (3, 4), but {run / 'checkpoint.final'} holds "
+        f"{(ds.num_users, ds.num_items)}\n"
+    )
+    assert not (run / "profile.csv").exists()
 
 
 def test_profile_missing_checkpoint_fails(tmp_path, capsys):

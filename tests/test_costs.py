@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparsecf import macs_forward_batch, macs_inference, macs_training, memory_bytes
+from sparsecf.costs import macs_forward_batch, macs_inference, macs_training, memory_bytes
 
 
 def test_inference_lightgcn_plug_in():

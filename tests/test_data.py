@@ -8,17 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsecf import (
-    DataFormatError,
-    NoValidNegativeError,
-    load_dataset,
-    load_interactions,
-    make_dataset,
-    sample_batch,
-    save_dataset,
-    split_holdout,
-)
 from sparsecf import data
+from sparsecf.data import (DataFormatError, NoValidNegativeError, load_dataset, load_interactions,
+                           make_dataset, sample_batch, save_dataset, split_holdout)
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -279,6 +271,18 @@ def test_load_dataset_rejects_malformed_test_split(tmp_path, tiny_ds):
     with pytest.raises(DataFormatError, match="line 2") as exc_info:
         load_dataset(tmp_path / "d")
     assert "test.txt" in str(exc_info.value)
+
+
+def test_load_dataset_names_the_directory_and_the_first_pair_of_an_overlap(tmp_path):
+    save_dataset(make_dataset(3, 3, [(0, 0), (1, 1), (2, 2)], [(0, 1), (2, 0)]), tmp_path / "d")
+    test_txt = tmp_path / "d" / "test.txt"
+    test_txt.write_text(test_txt.read_text() + "2 2\n1 1\n")
+    with pytest.raises(DataFormatError) as exc_info:
+        load_dataset(tmp_path / "d")
+    # the first shared pair in (user, item) order, not in file order
+    assert str(exc_info.value) == (
+        f"{tmp_path / 'd'}: train and test splits overlap at user 1, item 1"
+    )
 
 
 # ---------------------------------------------------------------------------

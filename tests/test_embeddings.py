@@ -5,20 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsecf import (
-    EmbeddingTable,
-    OptimizerState,
-    SparseMask,
-    apply_mask,
-    init_mask,
-    init_table,
-    load_checkpoint,
-    masked_step,
-    memory_bytes,
-    save_checkpoint,
-    target_active_count,
-)
-from sparsecf.embeddings import INIT_SCALE
+from sparsecf.costs import memory_bytes
+from sparsecf.embeddings import (EmbeddingTable, INIT_SCALE, OptimizerState, SparseMask,
+                                 apply_mask, init_mask, init_table, load_checkpoint, masked_step,
+                                 save_checkpoint, target_active_count)
 
 
 def table_of(weights, num_users=None):
@@ -237,8 +227,9 @@ def test_masked_step_rejects_nonfinite_grad(rng):
 
 
 def test_optimizer_state_validation():
-    with pytest.raises(ValueError):
-        OptimizerState("rmsprop", 0.1)
+    # the owner's message names the RunConfig field it checks
+    with pytest.raises(ValueError, match="optimizer must be 'sgd' or 'adam', got 'rmsprop'"):
+        OptimizerState("rmsprop", 1.0)
     with pytest.raises(ValueError):
         OptimizerState("sgd", 0.0)
 

@@ -11,17 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparsecf import (
-    BackboneConfig,
-    EmbeddingTable,
-    SparseMask,
-    evaluate,
-    evaluate_combined,
-    make_dataset,
-    popularity_sparsity_correlation,
-    sparsity_profile,
-)
 from sparsecf import evaluation
+from sparsecf.data import make_dataset
+from sparsecf.embeddings import EmbeddingTable, SparseMask
+from sparsecf.evaluation import (evaluate, evaluate_combined, popularity_sparsity_correlation,
+                                 sparsity_profile)
+from sparsecf.models import BackboneConfig
 
 
 def dense_mask(shape):
@@ -600,7 +595,7 @@ def test_profile_user_side():
 def test_profile_validates_arguments():
     ds = profile_fixture()
     bits = np.ones((12, 4), dtype=bool)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 'rows'"):
         sparsity_profile(SparseMask(bits), ds, side="rows")
     with pytest.raises(ValueError):
         sparsity_profile(SparseMask(bits), ds, side="items", num_groups=0)

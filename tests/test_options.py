@@ -4,10 +4,16 @@ Every defaulted parameter of a public function or method in src/sparsecf
 must be set by some call in src/sparsecf or bench/. A default that no
 caller overrides is a constant spelled as a knob: it belongs in a module
 constant, or, where a test needs another value, the parameter is required.
+
+The same rule holds for the package front: sparsecf.__all__ names what
+src/sparsecf and bench/ import from the top-level package, plus the run's
+entry points. Every other name is imported from the module that defines it.
 """
 
 import ast
 from pathlib import Path
+
+import sparsecf
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sparsecf"
@@ -19,6 +25,33 @@ SEAMS = {
     # tests run the CLI in process with their own arguments
     ("cli", "main", "argv"),
 }
+
+# names the front exports that no file in src/sparsecf or bench/ imports from
+# it: a library user configures a run, trains it on a loaded split and
+# catches its abort
+ENTRY_POINTS = {"RunConfig", "TrainingAborted", "train", "load_dataset"}
+
+
+def _sources():
+    return sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+
+def _front_names():
+    """Names that files in src/sparsecf or bench/ take from the top-level
+    package, by import or as an attribute, skipping its submodules."""
+    submodules = {path.stem for path in PACKAGE.glob("*.py")}
+    names = set()
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                from_front = node.module == "sparsecf" and node.level == 0
+                from_front |= node.module is None and node.level == 1 and path.parent == PACKAGE
+                if from_front:
+                    names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "sparsecf" and not node.attr.startswith("__"):
+                    names.add(node.attr)
+    return names - submodules
 
 
 def _defaulted_parameters(tree: ast.Module):
@@ -46,8 +79,7 @@ def _defaulted_parameters(tree: ast.Module):
 def _calls():
     """(callee name, call, parameter names of the enclosing function) of
     every call in the package and the benchmark."""
-    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    for path in files:
+    for path in _sources():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         scopes = [(tree, set())]
         while scopes:
@@ -103,3 +135,11 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
                        for call, params in calls.get(fn, [])):
                 unset.append(f"{path.stem}.{fn}({param}=...)")
     assert not unset, f"defaulted parameters that no caller sets: {unset}"
+
+
+def test_the_package_front_exports_what_its_callers_import():
+    exported = sparsecf.__all__
+    assert len(set(exported)) == len(exported)
+    assert set(exported) == _front_names() | ENTRY_POINTS
+    unresolved = [name for name in exported if not hasattr(sparsecf, name)]
+    assert not unresolved, f"__all__ names that sparsecf does not define: {unresolved}"

@@ -5,18 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsecf import (
-    EmbeddingTable,
-    SparseMask,
-    ExplorationSchedule,
-    exploration_step,
-    init_mask,
-    one_shot_magnitude_prune,
-    select_grow,
-    select_prune,
-    update_ratio,
-)
-from sparsecf.sparsifier import is_exploration_iteration
+from sparsecf.embeddings import EmbeddingTable, SparseMask, init_mask
+from sparsecf.sparsifier import (ExplorationEvent, ExplorationSchedule, exploration_step,
+                                 is_exploration_iteration, one_shot_magnitude_prune, select_grow,
+                                 select_prune, update_ratio)
 
 NO_EXCLUDE = np.empty(0, dtype=np.int64)
 
@@ -287,8 +279,6 @@ def test_exploration_step_rejects_nonfinite_gradient(rng):
 def test_event_log_entry_counts_and_positions():
     ev_pruned = np.array([1, 5], dtype=np.int64)
     ev_grown = np.array([2, 7], dtype=np.int64)
-    from sparsecf import ExplorationEvent
-
     ev = ExplorationEvent(10, 0.25, ev_pruned, ev_grown, 0.5)
     # the log holds counts; the positions stay on the event, in memory
     assert ev.log_entry() == {"t": 10, "rho_t": 0.25, "pruned": 2, "grown": 2,
