@@ -9,7 +9,6 @@ here rather than inferred from hardware.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -83,8 +82,34 @@ def macs_training(
     return per_sparse * iterations + per_dense * exploration_iterations
 
 
+def elias_fano_layout(active_count: int, total_entries: int) -> tuple[int, int]:
+    """Widths of the Elias–Fano coding of active_count >= 1 ascending
+    positions below total_entries (Elias 1974; Vigna, WSDM 2013).
+
+    Returns (l, high bits). The low part keeps the l = floor(log2(total /
+    active)) low bits of each position, active * l bits; the high part is a
+    bitvector of ((total - 1) >> l) + active bits, with a 1 at
+    (p_i >> l) + i for the i-th position p_i. l is computed in integers, so
+    no float enters.
+    """
+    low = (total_entries // active_count).bit_length() - 1
+    return low, ((total_entries - 1) >> low) + active_count
+
+
 def memory_bytes(active_count: int, total_entries: int) -> int:
-    """Storage for the sparse table: active float64 weights plus the mask bitset."""
+    """Storage for the sparse table: active float64 weights plus the mask.
+
+    The mask is the packed bitset, ceil(total / 8) bytes, or the Elias–Fano
+    coding of the active positions (elias_fano_layout, each part packed to
+    whole bytes) when that is strictly smaller. Elias–Fano can win only
+    when fewer than a quarter of the entries are active. (active, total)
+    alone fixes the figure, and a checkpoint file is exactly this plus its
+    header line.
+    """
     if active_count < 0 or total_entries < active_count:
         raise ValueError("need 0 <= active_count <= total_entries")
-    return active_count * 8 + math.ceil(total_entries / 8)
+    mask = -(-total_entries // 8)
+    if active_count:
+        low, high = elias_fano_layout(active_count, total_entries)
+        mask = min(mask, -(-active_count * low // 8) + -(-high // 8))
+    return active_count * 8 + mask

@@ -7,6 +7,10 @@ the zeroed table *is* the masked model. Scoring and the BPR loss
 (models.bpr_loss_and_grad) read the weights as stored and rely on this;
 only apply_mask builds a masked copy, for a (table, mask) pair from
 outside a run. Adam's moments are held for the active entries only.
+
+A checkpoint stores the active values alone, plus the mask as a packed
+bitset or, where that is smaller, as Elias–Fano-coded active positions,
+so its size follows the active count (see save_checkpoint).
 """
 
 from __future__ import annotations
@@ -18,7 +22,11 @@ from typing import ClassVar
 
 import numpy as np
 
+from .costs import elias_fano_layout, memory_bytes
+
 CHECKPOINT_FORMAT = "sparse-embedding-v2"
+# the header's "mask" value of a checkpoint whose mask is Elias–Fano coded
+ELIAS_FANO = "elias-fano"
 # std of the normal entries of a fresh table
 INIT_SCALE = 0.01
 
@@ -236,10 +244,15 @@ def masked_step(
 def save_checkpoint(path, table: EmbeddingTable, mask: SparseMask) -> None:
     """Write a table and its mask in the sparse-embedding-v2 layout.
 
-    One JSON header line, then the mask as a packed bitset (np.packbits,
-    row-major), then the active values as little-endian float64 in
-    row-major order. The file is memory_bytes(active, total) plus the
-    header line, and identical inputs give identical bytes.
+    One JSON header line, then the mask, then the active values as
+    little-endian float64 in row-major order. The mask is a packed bitset
+    (np.packbits, row-major), unless the Elias–Fano coding of the ascending
+    flat active positions is strictly smaller (costs.memory_bytes decides).
+    Then the header holds "mask": "elias-fano" and the mask is the low part,
+    the l low bits of each position, most significant first, packed, then
+    the packed high bitvector (costs.elias_fano_layout). The file is
+    memory_bytes(active, total) plus the header line, and identical inputs
+    give identical bytes.
     """
     sparsity = mask.sparsity if mask.target_sparsity is None else mask.target_sparsity
     header = {
@@ -249,14 +262,68 @@ def save_checkpoint(path, table: EmbeddingTable, mask: SparseMask) -> None:
         "dim": table.dim,
         "sparsity": float(sparsity),
     }
+    active, total = mask.active_count, mask.total
+    index = mask._active_index()
+    if memory_bytes(active, total) < 8 * active + -(-total // 8):
+        # index is an array: Elias–Fano never wins for an all-active mask
+        header["mask"] = ELIAS_FANO
+        low, high = elias_fano_layout(active, total)
+        low_bits = (index[:, None] >> np.arange(low - 1, -1, -1)).astype(np.uint8) & 1
+        high_bits = np.zeros(high, dtype=bool)
+        high_bits[(index >> low) + np.arange(active)] = True
+        coded = [np.packbits(low_bits), np.packbits(high_bits)]
+    else:
+        coded = [np.packbits(mask.bits, axis=None)]
     with Path(path).open("wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.packbits(mask.bits, axis=None).tobytes())
-        fh.write(table.weights.reshape(-1)[mask._active_index()].astype("<f8").tobytes())
+        for part in coded:
+            fh.write(part.tobytes())
+        fh.write(table.weights.reshape(-1)[index].astype("<f8").tobytes())
+
+
+def _check_active_count(path, sparsity, total: int, active: int) -> None:
+    """Raise ValueError unless the mask's active count is the header's budget."""
+    want = target_active_count(total, sparsity)
+    if active != want:
+        raise ValueError(f"{path}: checkpoint header sparsity {sparsity} means {want} active "
+                         f"of {total} entries, the mask has {active}")
+
+
+def _decode_elias_fano(path, body: bytes, sparsity, total: int) -> np.ndarray:
+    """The ascending flat active positions of an Elias–Fano coded checkpoint.
+
+    The header's budget fixes the body's length; the padding bits of both
+    parts must be zero and the positions strictly increasing below total.
+    """
+    active = target_active_count(total, sparsity)
+    if active < 1:
+        raise ValueError(f"{path}: checkpoint header sparsity {sparsity} leaves no active "
+                         f"entry of {total}, which an Elias–Fano mask cannot hold")
+    low, high = elias_fano_layout(active, total)
+    low_bytes, high_bytes = -(-active * low // 8), -(-high // 8)
+    expected = low_bytes + high_bytes + 8 * active
+    if len(body) != expected:
+        raise ValueError(f"{path}: checkpoint body is {len(body)} bytes, expected {expected} "
+                         f"for {active} active of {total} entries")
+    low_bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8, count=low_bytes))
+    high_bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8, count=high_bytes,
+                                            offset=low_bytes))
+    if low_bits[active * low:].any() or high_bits[high:].any():
+        raise ValueError(f"{path}: checkpoint mask has nonzero padding bits")
+    ones = np.flatnonzero(high_bits)
+    _check_active_count(path, sparsity, total, len(ones))
+    positions = (ones - np.arange(active)) << low
+    columns = low_bits[:active * low].reshape(active, low).T
+    for shift, column in zip(range(low - 1, -1, -1), columns):
+        positions |= column.astype(np.int64) << shift
+    if (positions[1:] <= positions[:-1]).any() or positions[-1] >= total:
+        raise ValueError(f"{path}: checkpoint mask positions are not strictly increasing "
+                         f"below {total}")
+    return positions
 
 
 def load_checkpoint(path) -> tuple[EmbeddingTable, SparseMask]:
-    """Read a checkpoint back into a table and mask."""
+    """Read a checkpoint back into a table and mask (see save_checkpoint)."""
     head, _, body = Path(path).read_bytes().partition(b"\n")
     try:
         header = json.loads(head)
@@ -273,25 +340,32 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, SparseMask]:
     sparsity = header.get("sparsity")
     if type(sparsity) not in (int, float) or not 0.0 <= sparsity < 1.0:
         raise ValueError(f"{path}: checkpoint header sparsity must be in [0, 1), got {sparsity!r}")
+    if header.get("mask", ELIAS_FANO) != ELIAS_FANO:
+        raise ValueError(f"{path}: checkpoint header mask must be {ELIAS_FANO!r} or absent, "
+                         f"got {header['mask']!r}")
     num_users, num_items, dim = header["num_users"], header["num_items"], header["dim"]
     shape = (num_users + num_items, dim)
     total = shape[0] * shape[1]
-    mask_bytes = -(-total // 8)
-    if len(body) < mask_bytes:
-        raise ValueError(f"{path}: checkpoint body is {len(body)} bytes, shorter than its mask")
-    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8, count=mask_bytes), count=total)
-    active = int(np.count_nonzero(bits))
-    if len(body) != mask_bytes + 8 * active:
-        raise ValueError(
-            f"{path}: checkpoint body is {len(body)} bytes, expected "
-            f"{mask_bytes + 8 * active} for {active} active of {total} entries"
-        )
-    if active != target_active_count(total, sparsity):
-        raise ValueError(f"{path}: checkpoint header sparsity {sparsity} means "
-                         f"{target_active_count(total, sparsity)} active of {total} entries, "
-                         f"the mask has {active}")
-    bits = bits.view(bool).reshape(shape)
-    weights = np.zeros(shape)
-    weights[bits] = np.frombuffer(body, dtype="<f8", offset=mask_bytes)
-    mask = SparseMask(bits, target_sparsity=sparsity)
-    return EmbeddingTable(num_users, num_items, dim, weights), mask
+    if "mask" in header:
+        index = _decode_elias_fano(path, body, sparsity, total)
+        bits = np.zeros(total, dtype=bool)
+        bits[index] = True
+        mask_bytes = len(body) - 8 * len(index)
+    else:
+        mask_bytes = -(-total // 8)
+        if len(body) < mask_bytes:
+            raise ValueError(f"{path}: checkpoint body is {len(body)} bytes, shorter than its mask")
+        bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8, count=mask_bytes),
+                             count=total).view(bool)
+        active = int(np.count_nonzero(bits))
+        if len(body) != mask_bytes + 8 * active:
+            raise ValueError(
+                f"{path}: checkpoint body is {len(body)} bytes, expected "
+                f"{mask_bytes + 8 * active} for {active} active of {total} entries"
+            )
+        _check_active_count(path, sparsity, total, active)
+        index = bits
+    weights = np.zeros(total)
+    weights[index] = np.frombuffer(body, dtype="<f8", offset=mask_bytes)
+    mask = SparseMask(bits.reshape(shape), target_sparsity=sparsity)
+    return EmbeddingTable(num_users, num_items, dim, weights.reshape(shape)), mask

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparsecf.costs import macs_forward_batch, macs_inference, macs_training, memory_bytes
+from sparsecf.costs import (elias_fano_layout, macs_forward_batch, macs_inference, macs_training,
+                            memory_bytes)
 
 
 def test_inference_lightgcn_plug_in():
@@ -91,10 +92,46 @@ def test_training_validation():
 
 
 def test_memory_counts_weights_and_bitset():
-    # 100 active float64 weights plus a 1000-entry bitset
-    assert memory_bytes(100, 1000) == 100 * 8 + 125
-    assert memory_bytes(100, 1001) == 100 * 8 + math.ceil(1001 / 8)
+    # active float64 weights plus the smaller mask coding. 248 of 1000: Elias-Fano
+    # keeps l = 2 low bits (496 bits, 62 bytes) and (999 >> 2) + 248 = 497 high
+    # bits (63 bytes), no fewer than the 125-byte bitset, which stays
+    assert memory_bytes(248, 1000) == 248 * 8 + 125
+    # 247 of 1000: 494 low bits (62 bytes) and 496 high bits (62 bytes)
+    assert memory_bytes(247, 1000) == 247 * 8 + 62 + 62
+    # 100 of 1000 and of 1001 (l = 3): 300 low bits (38 bytes), then 224 and
+    # 225 high bits (28 and 29 bytes)
+    assert memory_bytes(100, 1000) == 100 * 8 + 38 + 28
+    assert memory_bytes(100, 1001) == 100 * 8 + 38 + 29
+    assert memory_bytes(500, 1001) == 500 * 8 + math.ceil(1001 / 8)
+    # one active entry of 1000: l = 9, 9 low bits (2 bytes) and (999 >> 9) + 1 = 2
+    # high bits (1 byte); all but one: l = 0 and 1998 high bits, so the bitset
+    assert memory_bytes(1, 1000) == 8 + 2 + 1
+    assert memory_bytes(999, 1000) == 999 * 8 + 125
     assert memory_bytes(0, 8) == 1
+    # the desk shape, 2625 x 64: the bitset is 21,000 bytes up to s = 0.75,
+    # Elias-Fano 17,850 at s = 0.8 and 11,025 at s = 0.9
+    assert memory_bytes(168_000, 168_000) == 168_000 * 8 + 21_000
+    assert memory_bytes(42_000, 168_000) == 42_000 * 8 + 21_000
+    assert memory_bytes(33_600, 168_000) == 33_600 * 8 + 17_850
+    assert memory_bytes(16_800, 168_000) == 16_800 * 8 + 11_025
+    assert memory_bytes(1_680, 168_000) == 1_680 * 8 + 1_798
+
+
+def test_memory_keeps_the_bitset_while_a_quarter_is_active():
+    for total in range(1, 600):
+        for active in range(-(-total // 4), total + 1):
+            assert memory_bytes(active, total) == active * 8 + math.ceil(total / 8)
+    # below a quarter Elias-Fano can win: 4 of 17 take 1 + 1 bytes, not 3
+    assert memory_bytes(4, 17) == 4 * 8 + 2
+
+
+@given(total=st.integers(min_value=1, max_value=10**7), data=st.data())
+def test_elias_fano_layout_matches_its_definition(total, data):
+    active = data.draw(st.integers(min_value=1, max_value=total))
+    low, high = elias_fano_layout(active, total)
+    # l = floor(log2(total / active)), in integers
+    assert active << low <= total < active << (low + 1)
+    assert high == ((total - 1) >> low) + active
 
 
 def test_memory_halves_with_active_count():

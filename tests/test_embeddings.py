@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsecf.costs import memory_bytes
@@ -287,7 +287,8 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     for key, value in (("num_users", missing), ("num_users", -3), ("num_items", 0),
                        ("dim", 2.0), ("dim", "4"), ("dim", True), ("sparsity", missing),
                        ("sparsity", "x"), ("sparsity", 7.5), ("sparsity", 1), ("sparsity", -0.1),
-                       ("sparsity", None), ("sparsity", True), ("sparsity", float("nan"))):
+                       ("sparsity", None), ("sparsity", True), ("sparsity", float("nan")),
+                       ("mask", "bitset"), ("mask", None)):
         header = dict(good)
         if value is missing:
             del header[key]
@@ -339,3 +340,96 @@ def test_checkpoint_rejects_truncated_file(tmp_path, rng):
     path.write_bytes(data + b"\0")
     with pytest.raises(ValueError, match="bytes"):
         load_checkpoint(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(min_value=2, max_value=40),
+    dim=st.integers(min_value=1, max_value=9),
+    budget=st.one_of(st.sampled_from([0.0, 0.5, 0.75, 0.8, 0.9, 0.99, "one", "all but one"]),
+                     st.floats(min_value=0.0, max_value=0.999)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(rows=13, dim=5, budget=0.9, seed=0)
+@example(rows=11, dim=3, budget="one", seed=1)
+@example(rows=11, dim=3, budget="all but one", seed=2)
+@example(rows=17, dim=1, budget=0.75, seed=3)  # 4 of 17 active: Elias-Fano, 2 bytes against 3
+def test_checkpoint_round_trip_at_any_budget(tmp_path_factory, rows, dim, budget, seed):
+    rng = np.random.default_rng(seed)
+    total = rows * dim
+    if isinstance(budget, str):
+        active, sparsity = (1 if budget == "one" else total - 1), None
+    else:
+        active, sparsity = target_active_count(total, budget), budget
+    assume(active >= 1)
+    bits = np.zeros(total, dtype=bool)
+    bits[rng.choice(total, active, replace=False)] = True
+    mask = SparseMask(bits.reshape(rows, dim), target_sparsity=sparsity)
+    weights = rng.normal(size=(rows, dim)) * np.exp(rng.normal(size=(rows, dim)) * 10)
+    t = table_of(np.where(mask.bits, weights, 0.0))
+    out = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(out / "a", t, mask)
+    save_checkpoint(out / "b", t, mask)
+    data = (out / "a").read_bytes()
+    assert data == (out / "b").read_bytes()
+    head = data.split(b"\n", 1)[0]
+    header = json.loads(head)
+    assert len(data) == memory_bytes(active, total) + len(head) + 1
+    elias_fano = memory_bytes(active, total) < 8 * active + -(-total // 8)
+    assert ("mask" in header) == elias_fano
+    # the bitset form, which every file without the "mask" key has, loads at
+    # any budget, and is what the writer makes wherever Elias-Fano is no smaller
+    header.pop("mask", None)
+    bitset = (json.dumps(header, sort_keys=True).encode() + b"\n" + np.packbits(bits).tobytes()
+              + t.weights.reshape(-1)[bits].astype("<f8").tobytes())
+    assert (bitset == data) != elias_fano
+    (out / "bitset").write_bytes(bitset)
+    for path in (out / "a", out / "bitset"):
+        t2, m2 = load_checkpoint(path)
+        assert t2.weights.tobytes() == t.weights.tobytes()
+        assert np.array_equal(m2.bits, mask.bits)
+        assert m2.target_sparsity == header["sparsity"]
+
+
+def _elias_fano_file(path, rng):
+    """An Elias-Fano checkpoint of 12 active of 117 entries (s = 0.9), at flat
+    positions 8k + 5: l = 3, a 5-byte low part holding 36 bits, and a 4-byte
+    high part holding 26 bits, with its ones at 2k."""
+    shape = (13, 9)
+    bits = np.zeros(117, dtype=bool)
+    bits[8 * np.arange(12) + 5] = True
+    mask = SparseMask(bits.reshape(shape), target_sparsity=0.9)
+    save_checkpoint(path, table_of(np.where(mask.bits, rng.normal(size=shape), 0.0)), mask)
+    head, body = path.read_bytes().split(b"\n", 1)
+    assert json.loads(head)["mask"] == "elias-fano" and len(body) == 5 + 4 + 8 * 12
+    return head, bytearray(body)
+
+
+def _flip(body, high_bit=None, low_bit=None):
+    """Toggle one bit of the high part or of the low part, in np.packbits order."""
+    bit = low_bit if high_bit is None else 5 * 8 + high_bit
+    body[bit // 8] ^= 0x80 >> (bit % 8)
+    return body
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda head, body: (head, _flip(body, low_bit=39)), "nonzero padding bits"),
+    (lambda head, body: (head, _flip(body, high_bit=31)), "nonzero padding bits"),
+    # the second position's high one moves down a bit: it repeats position 5
+    (lambda head, body: (head, _flip(_flip(body, high_bit=2), high_bit=1)), "strictly increasing"),
+    # the last position's high one moves to the end: 14 * 8 + 5 = 117
+    (lambda head, body: (head, _flip(_flip(body, high_bit=22), high_bit=25)),
+     "strictly increasing below 117$"),
+    (lambda head, body: (head, _flip(body, high_bit=1)), "12 active of 117 entries, the mask has 13$"),
+    (lambda head, body: (head, body[:-1]), "body is 104 bytes, expected 105"),
+    (lambda head, body: (head, body + b"\0"), "body is 106 bytes, expected 105"),
+    (lambda head, body: (head.replace(b"elias-fano", b"elias-gamma"), body), "mask must be"),
+], ids=["low padding", "high padding", "repeated position", "position at the total",
+        "popcount", "truncated", "extended", "unknown mask"])
+def test_checkpoint_rejects_a_corrupt_elias_fano_mask(tmp_path, rng, corrupt, match):
+    path = tmp_path / "ckpt"
+    head, body = corrupt(*_elias_fano_file(path, rng))
+    path.write_bytes(head + b"\n" + bytes(body))
+    with pytest.raises(ValueError, match=match) as exc_info:
+        load_checkpoint(path)
+    assert str(path) in str(exc_info.value)

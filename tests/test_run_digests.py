@@ -46,6 +46,11 @@ def produce() -> None:
                                 seed=3, optimizer=optimizer, lr=lr, data_dir="data",
                                 run_id=run_id)
                 train(cfg, ds, out_dir=Path("runs") / run_id)
+    # at s = 0.9 the checkpoint's mask is Elias-Fano coded; every file above is a bitset
+    cfg = RunConfig(method="dsl", backbone="mf", dim=8, sparsity=0.9, delta_t=15, t_end=90,
+                    eval_every=30, batch_size=32, eval_k=10, seed=3, optimizer="adam", lr=0.05,
+                    data_dir="data", run_id="dsl-mf-adam-s0.9")
+    train(cfg, ds, out_dir=Path("runs") / cfg.run_id)
     assert main(["profile", "runs/dsl-mf-adam"]) == 0
     Path("sweep.json").write_text(json.dumps(SWEEP_SPEC), encoding="utf-8")
     assert main(["sweep", "sweep.json", "--data", "data", "--out", "sweep", "--workers", "2"]) == 0
@@ -73,10 +78,21 @@ def test_outputs_match_recorded_digests(tmp_path, monkeypatch):
                          f"{changed[:10]}; the new table is printed above")
 
 
+def describe_changes(old: dict, new: dict) -> str:
+    """The keys added, removed and changed from table old to table new."""
+    lines = []
+    for what, keys in (("added", new.keys() - old.keys()), ("removed", old.keys() - new.keys()),
+                       ("changed", {k for k in old.keys() & new.keys() if old[k] != new[k]})):
+        lines.append(f"{what} {len(keys)}" + "".join(f"\n  {key}" for key in sorted(keys)))
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
+    committed = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         produce()
         table = digests(Path(tmp))
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(table)} digests in {DIGESTS}", file=sys.stderr)
+    print(describe_changes(committed, table), file=sys.stderr)
