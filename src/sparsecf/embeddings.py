@@ -1,21 +1,34 @@
 """Embedding table, sparsity mask, and masked optimizer steps.
 
-The table stores user and item embeddings in one (num_users + num_items,
-dim) float64 array, users first. A mask of the same shape marks which
-entries are trainable; masked-out entries are held at exactly zero, so
-the zeroed table *is* the masked model. Scoring and the BPR loss
-(models.bpr_loss_and_grad) read the weights as stored and rely on this;
-only apply_mask builds a masked copy, for a (table, mask) pair from
-outside a run. Adam's moments are held for the active entries only.
+The table holds user and item embeddings, users first, in the active
+layout: values has one float64 per active entry of the mask the table is
+laid out on, in the order of that mask's flat (row-major) active index,
+and inactive entries have no storage. So a table at sparsity s holds
+(1 - s) of the dense table's weights. A table built from a dense
+(num_users + num_items, dim) array is all-active, with values that array
+flattened. EmbeddingTable.follow moves a table to another mask: kept
+entries carry over, dropped ones go, and new ones read zero. Adam's
+moments are held in the same layout, and the values, m and v all move
+through one helper, _follow.
+
+Every read of the dense table goes through weights: a read-only
+(rows, dim) materialisation with exact zeros at inactive entries, made
+once per loss, per evaluation or per check; under an all-active mask it
+is a view of the values, with no copy. masked_step updates the values
+in place, with no gather or scatter; besides it, only an exploration
+event writes them, zeroing the ones it prunes.
 
 A checkpoint stores the active values alone, plus the mask as a packed
 bitset or, where that is smaller, as Elias–Fano-coded active positions,
-so its size follows the active count (see save_checkpoint).
+so its size follows the active count (see save_checkpoint). Saving
+writes the values as they are, and loading reads them into place,
+without a dense table.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -31,27 +44,126 @@ ELIAS_FANO = "elias-fano"
 INIT_SCALE = 0.01
 
 
-@dataclass
 class EmbeddingTable:
-    """Dense backing store for user/item embeddings (users then items)."""
+    """User/item embeddings (users then items) in the active layout of a mask.
 
-    num_users: int
-    num_items: int
-    dim: int
-    weights: np.ndarray  # (num_users + num_items, dim) float64
+    Built from a dense (num_users + num_items, dim) array, which it copies,
+    the table is all-active. values is the one array of weights the table
+    owns; every other view of it is read-only or a copy.
+    """
+
+    def __init__(self, num_users: int, num_items: int, dim: int, weights: np.ndarray):
+        weights = np.array(weights, dtype=np.float64)
+        if weights.shape != (num_users + num_items, dim):
+            raise ValueError(f"weights shape {weights.shape} != "
+                             f"({num_users} + {num_items}, {dim})")
+        self._lay(num_users, num_items, dim, weights.reshape(-1), None)
+
+    @classmethod
+    def _laid_out(cls, num_users: int, num_items: int, dim: int, values: np.ndarray,
+                  bits: np.ndarray | None) -> "EmbeddingTable":
+        """A table over the given values, in the layout of the read-only bits
+        (None: all active); nothing is copied."""
+        table = cls.__new__(cls)
+        table._lay(num_users, num_items, dim, values, bits)
+        return table
+
+    def _lay(self, num_users, num_items, dim, values, bits) -> None:
+        self.num_users, self.num_items, self.dim = num_users, num_items, dim
+        self.values = values
+        self._bits = bits
+        # the flat active index, computed when first needed
+        self._index = slice(None) if bits is None else None
+
+    def __repr__(self) -> str:
+        return (f"EmbeddingTable(num_users={self.num_users}, num_items={self.num_items}, "
+                f"dim={self.dim}, active={len(self.values)})")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.num_users + self.num_items, self.dim)
 
     @property
     def total_entries(self) -> int:
-        return self.weights.size
+        return (self.num_users + self.num_items) * self.dim
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense table, read-only: inactive entries read exactly zero.
+        A view of the values when all are active, else a new array."""
+        if self._bits is None:
+            dense = self.values.reshape(self.shape)
+        else:
+            dense = np.zeros(self.shape)
+            # a fancy index scatters several times faster than the boolean bits
+            dense.reshape(-1)[self._active_index()] = self.values
+        dense.flags.writeable = False
+        return dense
+
+    def _active_index(self) -> np.ndarray | slice:
+        if self._index is None:
+            self._index = np.flatnonzero(self._bits)
+        return self._index
+
+    def _on(self, mask: "SparseMask") -> bool:
+        """Whether the values are laid out on mask's active index."""
+        if self._bits is None:
+            return mask.active_count == mask.total
+        return self._bits is mask.bits
+
+    def _values_on(self, mask: "SparseMask") -> np.ndarray:
+        """The table's entries at mask's active index, in its order."""
+        if self._on(mask):
+            return self.values
+        return self.weights.reshape(-1)[mask._active_index()]
+
+    def follow(self, mask: "SparseMask") -> None:
+        """Lay the values out on mask's active index: entries the mask keeps
+        carry over bitwise, entries it drops go, entries new to it read zero."""
+        if mask.bits.shape != self.shape:
+            raise ValueError(f"mask shape {mask.bits.shape} != table shape {self.shape}")
+        if self._on(mask):
+            return
+        index = mask._active_index()
+        (values,) = _follow([self.values], self._active_index(), index, self.total_entries)
+        self._lay(self.num_users, self.num_items, self.dim, values,
+                  None if isinstance(index, slice) else mask.bits)
+        self._index = index
+
+
+def _follow(arrays: list, old: np.ndarray | slice | None, new: np.ndarray | slice,
+            total: int) -> list:
+    """Each of arrays, laid out on the flat active index old, laid out on
+    new instead: entries new to `new` read zero, those it drops go. An
+    index is slice(None) when every one of the total entries is active;
+    old is None when there is nothing to carry."""
+    if isinstance(old, slice):
+        return [a[new] for a in arrays]
+    out = [np.zeros(total if isinstance(new, slice) else len(new)) for _ in arrays]
+    if old is None:
+        return out
+    if isinstance(new, slice):
+        src, dst = slice(None), old
+    else:
+        # a position both indices hold sorts into a pair, old's copy first; a
+        # stable sort merges the two ascending runs in linear time
+        both = np.concatenate([old, new])
+        order = np.argsort(both, kind="stable")
+        merged = both[order]
+        pair = np.flatnonzero(merged[1:] == merged[:-1])
+        src, dst = order[pair], order[pair + 1] - len(old)
+    for o, a in zip(out, arrays):
+        o[dst] = a[src]
+    return out
 
 
 def init_table(num_users: int, num_items: int, dim: int,
                rng: np.random.Generator) -> EmbeddingTable:
-    """Create a table with i.i.d. normal entries of std INIT_SCALE."""
+    """Create an all-active table with i.i.d. normal entries of std INIT_SCALE."""
     if num_users < 1 or num_items < 1 or dim < 1:
         raise ValueError("num_users, num_items and dim must all be >= 1")
     weights = rng.normal(0.0, INIT_SCALE, size=(num_users + num_items, dim))
-    return EmbeddingTable(num_users, num_items, dim, weights)
+    return EmbeddingTable._laid_out(num_users, num_items, dim, weights.reshape(-1), None)
 
 
 @dataclass
@@ -64,7 +176,7 @@ class SparseMask:
     exploration event.
     """
 
-    bits: np.ndarray  # bool, same shape as the table weights
+    bits: np.ndarray  # bool, of the table's shape
     target_sparsity: float | None = None
     _active: np.ndarray | slice | None = field(
         default=None, init=False, repr=False, compare=False
@@ -126,13 +238,9 @@ def init_mask(shape: tuple, sparsity: float, rng: np.random.Generator) -> Sparse
 
 
 def apply_mask(table: EmbeddingTable, mask: SparseMask) -> np.ndarray:
-    """Masked view of the weights: inactive entries read as zero."""
-    return table.weights * mask.bits
-
-
-def zero_inactive(table: EmbeddingTable, mask: SparseMask) -> None:
-    """Force inactive entries of the backing store to exactly zero."""
-    table.weights[~mask.bits] = 0.0
+    """Dense masked weights, inactive entries zero. For a table laid out on
+    mask these are its weights, materialised once (read-only)."""
+    return table.weights if table._on(mask) else table.weights * mask.bits
 
 
 @dataclass
@@ -141,7 +249,9 @@ class OptimizerState:
 
     Adam's moments m and v hold one value per active entry, in the order
     of the mask's flat active index (the whole table under an all-active
-    mask); regrown entries start from a cold optimizer state.
+    mask), as the table's values do. masked_step moves them to a new index
+    with the values' helper, _follow, so regrown entries start from a cold
+    optimizer state.
     """
 
     beta1: ClassVar[float] = 0.9
@@ -161,22 +271,19 @@ class OptimizerState:
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
 
-    def _follow(self, index: np.ndarray | slice, total: int) -> None:
-        """Carry m and v over to index through zeroed scratches of the table's
-        total entries: entries new to index read zero, dropped ones go."""
-        for name in ("m", "v"):
-            full = np.zeros(total)
-            if self._index is not None:
-                full[self._index] = getattr(self, name)
-            setattr(self, name, full[index])
-        self._index = index
-
 
 def _check_finite(grad: np.ndarray, what: str) -> None:
     """Raise FloatingPointError naming what and its first non-finite position."""
     if not np.isfinite(grad).all():
         bad = tuple(int(i) for i in np.argwhere(~np.isfinite(grad))[0])
         raise FloatingPointError(f"non-finite {what} at position {bad}")
+
+
+def _require_layout(table: EmbeddingTable, mask: SparseMask) -> None:
+    """Raise ValueError unless table is laid out on mask (see EmbeddingTable.follow)."""
+    if not table._on(mask):
+        raise ValueError("the table is not laid out on this mask; EmbeddingTable.follow "
+                         "moves it there")
 
 
 def masked_step(
@@ -188,38 +295,29 @@ def masked_step(
     """Apply one optimizer update to the active entries only.
 
     The gradient is dense over the table; contributions at inactive
-    positions are discarded. Only active weights are read or written, so
-    the work scales with the active count. Adam keeps dense semantics over
-    the active set: every active moment decays on every step, also where
-    the gradient is zero.
-
-    The active entries come from the mask's cached flat index, which
-    SparseMask.move drops whenever the bits change. Under a dense mask the
-    update runs in place on the table; under a sparse one it gathers the
-    active weights once, updates them in place and writes them back once.
-    Adam's moments follow that index (see OptimizerState).
-
-    Precondition: inactive weights are exactly zero. They are left
-    untouched, so they stay zero; the trainer establishes this when a
-    phase starts, and sparsifier.exploration_step keeps it: it zeroes what
-    it prunes and grows only entries that were inactive. The zeroed table
-    is then the masked model, which is what models.bpr_loss_and_grad and
-    the trainer's evaluation read.
+    positions are discarded. The table must be laid out on mask, so its
+    values are the active weights in the order of the mask's cached flat
+    index; they are updated in place, and the work scales with the active
+    count. Adam keeps dense semantics over the active set: every active
+    moment decays on every step, also where the gradient is zero. Its
+    moments follow the mask's index whenever SparseMask.move has replaced
+    it (see OptimizerState).
     """
-    if grad.shape != table.weights.shape:
-        raise ValueError(f"grad shape {grad.shape} != table shape {table.weights.shape}")
+    if grad.shape != table.shape:
+        raise ValueError(f"grad shape {grad.shape} != table shape {table.shape}")
+    _require_layout(table, mask)
     _check_finite(grad, "gradient")
     idx = mask._active_index()
-    w_flat = table.weights.reshape(-1)
-    # under a dense mask these are views, and every update below is in place
-    w = w_flat[idx]
+    w = table.values
+    # under a dense mask this is a view
     g = grad.reshape(-1)[idx]
     opt.step += 1
     if opt.kind == "sgd":
         w -= opt.lr * g
     else:
         if opt._index is not idx:
-            opt._follow(idx, w_flat.size)
+            opt.m, opt.v = _follow([opt.m, opt.v], opt._index, idx, table.total_entries)
+            opt._index = idx
         m, v = opt.m, opt.v
         # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + ((1 - beta2) * g) * g
         tmp = np.multiply(1.0 - opt.beta1, g)
@@ -237,8 +335,6 @@ def masked_step(
         update *= opt.lr
         update /= tmp
         w -= update
-    if not isinstance(idx, slice):
-        w_flat[idx] = w
 
 
 def save_checkpoint(path, table: EmbeddingTable, mask: SparseMask) -> None:
@@ -278,7 +374,7 @@ def save_checkpoint(path, table: EmbeddingTable, mask: SparseMask) -> None:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         for part in coded:
             fh.write(part.tobytes())
-        fh.write(table.weights.reshape(-1)[index].astype("<f8").tobytes())
+        fh.write(table._values_on(mask).astype("<f8", copy=False))
 
 
 def _check_active_count(path, sparsity, total: int, active: int) -> None:
@@ -289,11 +385,14 @@ def _check_active_count(path, sparsity, total: int, active: int) -> None:
                          f"of {total} entries, the mask has {active}")
 
 
-def _decode_elias_fano(path, body: bytes, sparsity, total: int) -> np.ndarray:
-    """The ascending flat active positions of an Elias–Fano coded checkpoint.
+def _decode_elias_fano(path, fh, body_len: int, sparsity, total: int) -> np.ndarray:
+    """The ascending flat active positions of an Elias–Fano coded
+    checkpoint, read from fh up to its values.
 
     The header's budget fixes the body's length; the padding bits of both
     parts must be zero and the positions strictly increasing below total.
+    The positions are decoded in place: beside them the decoder holds at
+    most one more active-length int64 array, and the unpacked parts.
     """
     active = target_active_count(total, sparsity)
     if active < 1:
@@ -302,20 +401,27 @@ def _decode_elias_fano(path, body: bytes, sparsity, total: int) -> np.ndarray:
     low, high = elias_fano_layout(active, total)
     low_bytes, high_bytes = -(-active * low // 8), -(-high // 8)
     expected = low_bytes + high_bytes + 8 * active
-    if len(body) != expected:
-        raise ValueError(f"{path}: checkpoint body is {len(body)} bytes, expected {expected} "
+    if body_len != expected:
+        raise ValueError(f"{path}: checkpoint body is {body_len} bytes, expected {expected} "
                          f"for {active} active of {total} entries")
-    low_bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8, count=low_bytes))
-    high_bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8, count=high_bytes,
-                                            offset=low_bytes))
-    if low_bits[active * low:].any() or high_bits[high:].any():
+    low_part = np.frombuffer(fh.read(low_bytes), dtype=np.uint8)
+    high_bits = np.unpackbits(np.frombuffer(fh.read(high_bytes), dtype=np.uint8))
+    pad = -active * low % 8  # the low part's padding bits, at the end of its last byte
+    if (pad and low_part[-1] & ((1 << pad) - 1)) or high_bits[high:].any():
         raise ValueError(f"{path}: checkpoint mask has nonzero padding bits")
-    ones = np.flatnonzero(high_bits)
-    _check_active_count(path, sparsity, total, len(ones))
-    positions = (ones - np.arange(active)) << low
-    columns = low_bits[:active * low].reshape(active, low).T
-    for shift, column in zip(range(low - 1, -1, -1), columns):
-        positions |= column.astype(np.int64) << shift
+    positions = np.flatnonzero(high_bits)
+    del high_bits
+    _check_active_count(path, sparsity, total, len(positions))
+    positions -= np.arange(active)
+    positions <<= low
+    low_bits = np.unpackbits(low_part)
+    # the low value of each position, built a bit at a time in the smallest
+    # signed type that holds 0 .. 2^low - 1
+    lows = np.zeros(active, dtype=np.min_scalar_type(-(1 << low)))
+    for shift in range(low):
+        lows <<= 1
+        lows |= low_bits[shift:active * low:low]
+    positions |= lows
     if (positions[1:] <= positions[:-1]).any() or positions[-1] >= total:
         raise ValueError(f"{path}: checkpoint mask positions are not strictly increasing "
                          f"below {total}")
@@ -323,49 +429,64 @@ def _decode_elias_fano(path, body: bytes, sparsity, total: int) -> np.ndarray:
 
 
 def load_checkpoint(path) -> tuple[EmbeddingTable, SparseMask]:
-    """Read a checkpoint back into a table and mask (see save_checkpoint)."""
-    head, _, body = Path(path).read_bytes().partition(b"\n")
-    try:
-        header = json.loads(head)
-    except ValueError:
-        header = None
-    fmt = header.get("format") if isinstance(header, dict) else None
-    if fmt != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: unrecognized checkpoint format {fmt!r}")
-    for key in ("num_users", "num_items", "dim"):
-        value = header.get(key)
-        if type(value) is not int or value < 1:
-            raise ValueError(f"{path}: checkpoint header {key} must be a positive integer, "
-                             f"got {value!r}")
-    sparsity = header.get("sparsity")
-    if type(sparsity) not in (int, float) or not 0.0 <= sparsity < 1.0:
-        raise ValueError(f"{path}: checkpoint header sparsity must be in [0, 1), got {sparsity!r}")
-    if header.get("mask", ELIAS_FANO) != ELIAS_FANO:
-        raise ValueError(f"{path}: checkpoint header mask must be {ELIAS_FANO!r} or absent, "
-                         f"got {header['mask']!r}")
-    num_users, num_items, dim = header["num_users"], header["num_items"], header["dim"]
-    shape = (num_users + num_items, dim)
-    total = shape[0] * shape[1]
-    if "mask" in header:
-        index = _decode_elias_fano(path, body, sparsity, total)
-        bits = np.zeros(total, dtype=bool)
-        bits[index] = True
-        mask_bytes = len(body) - 8 * len(index)
-    else:
-        mask_bytes = -(-total // 8)
-        if len(body) < mask_bytes:
-            raise ValueError(f"{path}: checkpoint body is {len(body)} bytes, shorter than its mask")
-        bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8, count=mask_bytes),
-                             count=total).view(bool)
-        active = int(np.count_nonzero(bits))
-        if len(body) != mask_bytes + 8 * active:
-            raise ValueError(
-                f"{path}: checkpoint body is {len(body)} bytes, expected "
-                f"{mask_bytes + 8 * active} for {active} active of {total} entries"
-            )
-        _check_active_count(path, sparsity, total, active)
-        index = bits
-    weights = np.zeros(total)
-    weights[index] = np.frombuffer(body, dtype="<f8", offset=mask_bytes)
+    """Read a checkpoint back into a table and mask (see save_checkpoint).
+
+    The file is read part by part: the mask is decoded first, then the
+    values are read straight into the table's active-length array, so the
+    dense table is never built.
+    """
+    with Path(path).open("rb") as fh:
+        head = fh.readline()
+        body_len = os.fstat(fh.fileno()).st_size - fh.tell()
+        try:
+            header = json.loads(head)
+        except ValueError:
+            header = None
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path}: unrecognized checkpoint format {fmt!r}")
+        for key in ("num_users", "num_items", "dim"):
+            value = header.get(key)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{path}: checkpoint header {key} must be a positive integer, "
+                                 f"got {value!r}")
+        sparsity = header.get("sparsity")
+        if type(sparsity) not in (int, float) or not 0.0 <= sparsity < 1.0:
+            raise ValueError(f"{path}: checkpoint header sparsity must be in [0, 1), "
+                             f"got {sparsity!r}")
+        if header.get("mask", ELIAS_FANO) != ELIAS_FANO:
+            raise ValueError(f"{path}: checkpoint header mask must be {ELIAS_FANO!r} or absent, "
+                             f"got {header['mask']!r}")
+        num_users, num_items, dim = header["num_users"], header["num_items"], header["dim"]
+        shape = (num_users + num_items, dim)
+        total = shape[0] * shape[1]
+        if "mask" in header:
+            positions = _decode_elias_fano(path, fh, body_len, sparsity, total)
+            bits = np.zeros(total, dtype=bool)
+            bits[positions] = True
+            active = len(positions)
+            del positions  # the values take its place
+        else:
+            mask_bytes = -(-total // 8)
+            if body_len < mask_bytes:
+                raise ValueError(f"{path}: checkpoint body is {body_len} bytes, "
+                                 f"shorter than its mask")
+            unpacked = np.unpackbits(np.frombuffer(fh.read(mask_bytes), dtype=np.uint8))
+            if unpacked[total:].any():
+                raise ValueError(f"{path}: checkpoint mask has nonzero padding bits")
+            bits = unpacked[:total].view(bool)
+            active = int(np.count_nonzero(bits))
+            if body_len != mask_bytes + 8 * active:
+                raise ValueError(
+                    f"{path}: checkpoint body is {body_len} bytes, expected "
+                    f"{mask_bytes + 8 * active} for {active} active of {total} entries"
+                )
+            _check_active_count(path, sparsity, total, active)
+        values = np.empty(active, dtype="<f8")
+        if fh.readinto(values) != values.nbytes:
+            raise ValueError(f"{path}: checkpoint body ended before its {active} values")
     mask = SparseMask(bits.reshape(shape), target_sparsity=sparsity)
-    return EmbeddingTable(num_users, num_items, dim, weights.reshape(shape)), mask
+    table = EmbeddingTable._laid_out(num_users, num_items, dim,
+                                     values.astype(np.float64, copy=False),
+                                     None if active == total else mask.bits)
+    return table, mask

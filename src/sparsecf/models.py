@@ -8,9 +8,16 @@ and densely over the whole table, which mask growth needs; the LightGCN
 backward pass is transposed propagation of the output gradient (the
 adjacency is symmetric), so no autodiff is involved.
 
-A batch reads the table once: the user, positive and negative rows of
-every triple are gathered in one (3 * batch, dim) block (for LightGCN,
-one block of base rows and one of combined rows), and the three ranking
+The table stores only its active entries (see embeddings). A batch
+densifies it once, into a short-lived read-only array (under an
+all-active mask a view, with no copy), and reads that once: the user,
+positive and negative rows of every triple are gathered in one
+(3 * batch, dim) block (for LightGCN, one block of base rows and one of
+combined rows, from the one table it propagates). At desk scale the
+block (3 * 1024 * 64 entries) is larger than the table (168,000 entries),
+so densifying costs less than reading the block's rows straight from the
+active values through per-row pointers; that read pays only once the
+table is much larger than a batch's block. The three ranking
 blocks of the gradient are written into one preallocated array of the
 same shape, with the L2 term added in place. Those per-slot rows are
 scattered into the table with one sparse product: an incidence matrix
@@ -132,14 +139,14 @@ def bpr_loss_and_grad(cfg: BackboneConfig, table: EmbeddingTable, batch: np.ndar
     rows, as sample_batch draws them. Loss is mean softplus(-x) over the
     batch with x = e_u . (e_i - e_j) in combined space, plus
     l2_reg * mean(|e_u|^2 + |e_i|^2 + |e_j|^2) on the base rows of each
-    triple. The weights are read as stored: a masked model is its table
-    with the inactive entries held at exactly zero (see embeddings). The
+    triple. Inactive entries of the table read zero (see embeddings). The
     gradient treats every entry as free, including those zeros, so growth
     can rank them.
     """
     b = len(batch)
     if b == 0:
         raise ValueError("batch is empty")
+    # the dense table, densified once (see the module docstring)
     weights = table.weights
     num_users = table.num_users
     rows = (batch + (0, num_users, num_users)).T.ravel()

@@ -6,6 +6,14 @@ regrown at the positions of largest absolute gradient, keeping the
 active-entry budget constant for the whole run. Between explorations the
 mask is frozen. Static baselines (random prune at init, one-shot
 magnitude prune of a dense table) share the same budget rule.
+
+The table stores one value per active entry, in the order of the mask's
+flat active index (see embeddings), so pruning ranks those values as
+they are, with no gather. An exploration event zeroes the values it
+prunes, so the growth gradient sees them as zero, then moves the mask;
+the table follows it in one move, which drops the pruned values and
+starts the grown entries at zero. A one-shot prune reads the dense
+weights; the trainer's next phase moves the table onto its mask.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, SparseMask, _check_finite, target_active_count
+from .embeddings import (EmbeddingTable, SparseMask, _check_finite, _require_layout,
+                         target_active_count)
 
 DECAYS = ("cosine", "linear", "none")
 
@@ -122,7 +131,7 @@ def select_prune(table: EmbeddingTable, mask: SparseMask, rho_t: float) -> np.nd
     if not 0.0 <= rho_t <= 1.0:
         raise ValueError(f"rho_t must be in [0, 1], got {rho_t}")
     index = mask._active_index()
-    mags = np.abs(table.weights.reshape(-1)[index])
+    mags = np.abs(table._values_on(mask))
     k = _prune_count(rho_t, len(mags))
     if k == 0:
         return np.empty(0, dtype=np.int64)
@@ -171,22 +180,25 @@ def exploration_step(
 ) -> ExplorationEvent:
     """Replace floor(rho_t * active) mask positions in place.
 
-    Zeroes the weights to prune, then asks grad_fn for one dense gradient
-    on a fresh batch of that table and picks the largest-|grad| inactive
-    positions to grow. The bits then move in one SparseMask.move, so a
-    non-finite gradient raises with the mask unchanged. Grown entries were
-    inactive, hence already zero (see embeddings.masked_step); masked_step
-    starts them from a cold optimizer state. The active count is identical
-    before and after.
+    The table must be laid out on mask. Zeroes the values to prune, then
+    asks grad_fn for one dense gradient on a fresh batch of that table and
+    picks the largest-|grad| inactive positions to grow. The bits then move
+    in one SparseMask.move, so a non-finite gradient raises with the mask
+    unchanged, and the table follows the mask: the pruned values go and the
+    grown ones start at zero. masked_step starts grown entries from a cold
+    optimizer state. The active count is identical before and after.
     """
+    _require_layout(table, mask)
     rho_t = update_ratio(sched, t)
     active_before = mask.active_count
     pruned = select_prune(table, mask, rho_t)
-    table.weights.reshape(-1)[pruned] = 0.0
+    index = mask._active_index()
+    table.values[pruned if isinstance(index, slice) else np.searchsorted(index, pruned)] = 0.0
     grad = grad_fn()
     _check_finite(grad, "growth gradient")
     grown = select_grow(grad, mask, len(pruned), exclude=pruned)
     mask.move(pruned, grown)
+    table.follow(mask)
     assert mask.active_count == active_before, "mask update changed the budget"
     return ExplorationEvent(
         t=t,
@@ -210,4 +222,4 @@ def one_shot_magnitude_prune(table: EmbeddingTable, sparsity: float) -> SparseMa
     if keep < 1:
         raise ValueError(f"sparsity {sparsity} keeps no entries")
     bits = _largest(np.abs(table.weights.ravel()), keep)
-    return SparseMask(bits.reshape(table.weights.shape), target_sparsity=sparsity)
+    return SparseMask(bits.reshape(table.shape), target_sparsity=sparsity)

@@ -39,7 +39,6 @@ from .embeddings import (
     masked_step,
     save_checkpoint,
     target_active_count,
-    zero_inactive,
 )
 from .evaluation import _require_test_split, evaluate_combined
 from .models import BackboneConfig, bpr_loss_and_grad, combined_embeddings
@@ -214,7 +213,7 @@ def is_complete(run_dir, cfg: RunConfig, ds: InteractionDataset) -> bool:
 
 
 def _dense_mask(table: EmbeddingTable) -> SparseMask:
-    return SparseMask(np.ones_like(table.weights, dtype=bool), target_sparsity=0.0)
+    return SparseMask(np.ones(table.shape, dtype=bool), target_sparsity=0.0)
 
 
 def _require_growth_room(cfg: RunConfig, ds: InteractionDataset) -> None:
@@ -276,11 +275,11 @@ class _Run:
 
     def phase(self, mask: SparseMask, t_start: int, explore: bool, snapshot_hook) -> None:
         """Run iterations t_start+1 .. t_start+t_end under mask, from a fresh
-        optimizer state, appending to the artifacts; the table is zeroed
-        outside the mask first."""
+        optimizer state, appending to the artifacts. The table follows the
+        mask first: its entries outside the mask go."""
         cfg, art, table = self.cfg, self.art, self.art.table
         art.mask = mask
-        zero_inactive(table, mask)
+        table.follow(mask)
         opt = OptimizerState(cfg.optimizer, cfg.lr)
         eval_every = art.config["eval_every"]
         sched = cfg.schedule()
@@ -331,7 +330,7 @@ def train(
         if cfg.method == "dense":
             run.phase(_dense_mask(table), 0, False, snapshot_hook)
         elif cfg.method in ("rp", "dsl"):
-            mask = init_mask(table.weights.shape, cfg.sparsity, run.mask_rng)
+            mask = init_mask(table.shape, cfg.sparsity, run.mask_rng)
             run.phase(mask, 0, cfg.method == "dsl", snapshot_hook)
         elif cfg.method == "omp":
             run.phase(_dense_mask(table), 0, False, snapshot_hook)

@@ -224,14 +224,19 @@ def test_03_selection_oracles():
 
 
 def _numeric_grad(cfg, table, batch, h=1e-6):
-    w = table.weights
+    w = table.weights.copy()
     out = np.zeros_like(w)
+
+    def loss():
+        return bpr_loss_and_grad(
+            cfg, EmbeddingTable(table.num_users, table.num_items, table.dim, w), batch)[0]
+
     for pos in range(w.size):
         orig = w.flat[pos]
         w.flat[pos] = orig + h
-        lp, _ = bpr_loss_and_grad(cfg, table, batch)
+        lp = loss()
         w.flat[pos] = orig - h
-        lm, _ = bpr_loss_and_grad(cfg, table, batch)
+        lm = loss()
         w.flat[pos] = orig
         out.flat[pos] = (lp - lm) / (2.0 * h)
     return out

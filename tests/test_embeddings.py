@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from sparsecf.costs import memory_bytes
 from sparsecf.embeddings import (EmbeddingTable, INIT_SCALE, OptimizerState, SparseMask,
                                  apply_mask, init_mask, init_table, load_checkpoint, masked_step,
                                  save_checkpoint, target_active_count)
+from sparsecf.sparsifier import ExplorationSchedule, exploration_step, one_shot_magnitude_prune
+from sparsecf.trainer import RunConfig, train
 
 
 def table_of(weights, num_users=None):
@@ -82,12 +85,126 @@ def test_apply_mask_identity_and_idempotence(rng):
     assert np.count_nonzero(apply_mask(table_of(np.ones((10, 4))), m)) == m.active_count
 
 
+def test_weights_are_a_read_only_view_of_the_values(rng):
+    t = table_of(rng.normal(size=(6, 4)))
+    # all active: the dense table is the values, with no copy
+    assert np.shares_memory(t.weights, t.values)
+    with pytest.raises(ValueError, match="read-only"):
+        t.weights[0, 0] = 1.0
+    mask = init_mask((6, 4), 0.75, rng)
+    t.follow(mask)
+    assert t.values.shape == (mask.active_count,)
+    with pytest.raises(ValueError, match="read-only"):
+        t.weights[mask.bits] = 1.0
+    # the one writable array is the values; a write there shows in weights
+    t.values[0] = 5.0
+    assert t.weights.reshape(-1)[np.flatnonzero(mask.bits)[0]] == 5.0
+
+
+def test_steps_need_the_table_laid_out_on_their_mask(rng):
+    t = table_of(rng.normal(size=(6, 4)))
+    mask = init_mask((6, 4), 0.5, rng)
+    with pytest.raises(ValueError, match="not laid out on this mask"):
+        masked_step(t, np.zeros((6, 4)), mask, OptimizerState("sgd", 0.1))
+    with pytest.raises(ValueError, match="not laid out on this mask"):
+        exploration_step(t, mask, ExplorationSchedule(0.5, 10, 100), 10, lambda: np.ones((6, 4)))
+    t.follow(mask)
+    masked_step(t, np.zeros((6, 4)), mask, OptimizerState("sgd", 0.1))
+    # a move of the mask leaves the table behind until it follows
+    active, inactive = np.flatnonzero(mask.bits), np.flatnonzero(~mask.bits)
+    mask.move(active[:1], inactive[:1])
+    with pytest.raises(ValueError, match="not laid out on this mask"):
+        masked_step(t, np.zeros((6, 4)), mask, OptimizerState("sgd", 0.1))
+    with pytest.raises(ValueError, match=r"mask shape \(4, 6\) != table shape \(6, 4\)"):
+        t.follow(SparseMask(np.ones((4, 6), dtype=bool)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(min_value=2, max_value=30),
+    dim=st.integers(min_value=1, max_value=8),
+    ops=st.lists(st.sampled_from(["move", "install", "omp", "dense", "step"]),
+                 min_size=1, max_size=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_table_follows_every_move_of_its_mask(tmp_path_factory, rows, dim, ops, seed):
+    # the dense reference: kept entries unchanged, pruned and grown ones zero
+    rng = np.random.default_rng(seed)
+    shape, total = (rows, dim), rows * dim
+    ref = rng.normal(size=shape)
+    t = table_of(ref)
+    mask = SparseMask(np.ones(shape, dtype=bool))
+    for op in ops:
+        if op == "step":
+            g = rng.normal(size=shape)
+            masked_step(t, g, mask, OptimizerState("sgd", 0.1))
+            ref[mask.bits] -= 0.1 * g[mask.bits]
+        else:
+            if op == "move":
+                active, inactive = np.flatnonzero(mask.bits), np.flatnonzero(~mask.bits)
+                k = int(rng.integers(0, min(len(active), len(inactive)) + 1))
+                mask.move(np.sort(rng.choice(active, k, replace=False)),
+                          np.sort(rng.choice(inactive, k, replace=False)))
+            elif op == "install":
+                bits = np.zeros(total, dtype=bool)
+                bits[rng.choice(total, int(rng.integers(1, total + 1)), replace=False)] = True
+                mask = SparseMask(bits.reshape(shape))
+            elif op == "omp":
+                mask = one_shot_magnitude_prune(t, float(rng.uniform(0.0, 1.0 - 1.0 / total)))
+            else:
+                mask = SparseMask(np.ones(shape, dtype=bool))
+            t.follow(mask)
+            ref = np.where(mask.bits, ref, 0.0)
+        assert t.weights.tobytes() == ref.tobytes()
+        assert t.values.shape == (mask.active_count,)
+    path = tmp_path_factory.mktemp("ckpt") / "table"
+    save_checkpoint(path, t, mask)
+    t2, m2 = load_checkpoint(path)
+    assert t2.values.tobytes() == t.values.tobytes()
+    assert np.array_equal(m2.bits, mask.bits)
+    assert t2.weights.tobytes() == ref.tobytes()
+
+
+def test_a_trained_table_stores_one_value_per_active_entry(small_split):
+    cfg = RunConfig(method="dsl", sparsity=0.9, dim=8, t_end=30, delta_t=10, batch_size=32)
+    art = train(cfg, small_split)
+    active = art.mask.active_count
+    assert active == target_active_count(art.mask.total, 0.9)
+    # the table's only float storage is its values: 8 bytes per active entry
+    floats = [a.nbytes for a in vars(art.table).values()
+              if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+    assert floats == [8 * active]
+    # ... and the values own their memory, so no dense array stays alive behind them
+    assert art.table.values.base is None
+
+
+def test_load_checkpoint_never_holds_the_dense_table(tmp_path, rng):
+    # the desk shape (943 users, 1682 items, d = 64) at s = 0.9, Elias-Fano coded
+    t = init_table(943, 1682, 64, rng)
+    dense_bytes = 8 * t.total_entries
+    assert dense_bytes == 1_344_000
+    mask = init_mask(t.shape, 0.9, rng)
+    t.follow(mask)
+    save_checkpoint(tmp_path / "ckpt", t, mask)
+    tracemalloc.start()
+    try:
+        t2, m2 = load_checkpoint(tmp_path / "ckpt")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t2.values.nbytes == 8 * mask.active_count == 134_400
+    # held: the values and the bool mask; the peak stays below a quarter of dense
+    assert held >= t2.values.nbytes + m2.bits.nbytes
+    assert peak < dense_bytes // 4
+    assert t2.values.tobytes() == t.values.tobytes()
+
+
 def test_masked_step_sgd_arithmetic():
-    t = table_of(np.full((2, 2), 1.0))
     bits = np.array([[True, False], [True, True]])
+    t = table_of(np.where(bits, 1.0, 0.0))
     grad = np.full((2, 2), 2.0)
     mask = SparseMask(bits)
-    t.weights[~bits] = 0.0
+    t.follow(mask)
     masked_step(t, grad, mask, OptimizerState("sgd", 0.1))
     assert t.weights[0, 0] == pytest.approx(0.8)
     assert t.weights[0, 1] == 0.0
@@ -127,9 +244,9 @@ def test_masked_step_adam_matches_manual(rng):
 
 def test_masked_step_adam_moments_carry_across_move(rng):
     shape = (6, 4)
-    t = table_of(rng.normal(size=shape))
     mask = init_mask(shape, 0.5, rng)
-    t.weights[~mask.bits] = 0.0
+    t = table_of(np.where(mask.bits, rng.normal(size=shape), 0.0))
+    t.follow(mask)
     opt = OptimizerState("adam", lr=0.01)
     b1, b2 = opt.beta1, opt.beta2
     moves = (2, 3, 5)
@@ -140,8 +257,8 @@ def test_masked_step_adam_moments_carry_across_move(rng):
             before = dict(zip(active.tolist(), zip(opt.m.tolist(), opt.v.tolist())))
             pruned = np.sort(rng.choice(active, 3, replace=False))
             grown = np.sort(rng.choice(np.flatnonzero(~mask.bits), 3, replace=False))
-            t.weights.reshape(-1)[pruned] = 0.0
             mask.move(pruned, grown)
+            t.follow(mask)
         g = rng.normal(size=shape)
         masked_step(t, g, mask, opt)
         assert len(opt.m) == len(opt.v) == mask.active_count
@@ -180,7 +297,8 @@ def test_masked_step_sparse_mask_matches_reference_on_active(rng, kind):
     grads = [rng.normal(size=shape) for _ in range(5)]
     zero_at = tuple(np.argwhere(active)[0])
     grads[2][zero_at] = 0.0
-    t = table_of(w0.copy())
+    t = table_of(w0)
+    t.follow(mask)
     opt = OptimizerState(kind, lr=0.01)
     for g in grads[:2]:
         masked_step(t, g, mask, opt)
@@ -243,9 +361,9 @@ def test_optimizer_state_validation():
 )
 def test_masked_step_preserves_popcount_and_zeros(seed, sparsity, steps, kind):
     rng = np.random.default_rng(seed)
-    t = table_of(rng.normal(size=(8, 6)))
     mask = init_mask((8, 6), sparsity, rng)
-    t.weights[~mask.bits] = 0.0
+    t = table_of(np.where(mask.bits, rng.normal(size=(8, 6)), 0.0))
+    t.follow(mask)
     opt = OptimizerState(kind, 0.05)
     count = mask.active_count
     for _ in range(steps):
@@ -255,9 +373,9 @@ def test_masked_step_preserves_popcount_and_zeros(seed, sparsity, steps, kind):
 
 
 def test_checkpoint_round_trip_exact(tmp_path, rng):
-    t = table_of(rng.normal(size=(7, 5)) * np.exp(rng.normal(size=(7, 5)) * 10), num_users=3)
+    weights = rng.normal(size=(7, 5)) * np.exp(rng.normal(size=(7, 5)) * 10)
     mask = init_mask((7, 5), 0.4, rng)
-    t.weights[~mask.bits] = 0.0
+    t = table_of(np.where(mask.bits, weights, 0.0), num_users=3)
     path = tmp_path / "ckpt"
     save_checkpoint(path, t, mask)
     t2, m2 = load_checkpoint(path)
@@ -301,9 +419,8 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
 
 
 def test_checkpoint_rejects_a_sparsity_its_mask_contradicts(tmp_path, rng):
-    t = table_of(rng.normal(size=(20, 6)))
     mask = init_mask((20, 6), 0.5, rng)
-    t.weights[~mask.bits] = 0.0
+    t = table_of(np.where(mask.bits, rng.normal(size=(20, 6)), 0.0))
     path = tmp_path / "ckpt"
     save_checkpoint(path, t, mask)
     head, body = path.read_bytes().split(b"\n", 1)
@@ -316,9 +433,8 @@ def test_checkpoint_rejects_a_sparsity_its_mask_contradicts(tmp_path, rng):
 
 
 def test_checkpoint_size_is_modelled_memory_plus_header(tmp_path, rng):
-    t = table_of(rng.normal(size=(9, 7)), num_users=4)
     mask = init_mask((9, 7), 0.6, rng)
-    t.weights[~mask.bits] = 0.0
+    t = table_of(np.where(mask.bits, rng.normal(size=(9, 7)), 0.0), num_users=4)
     path = tmp_path / "ckpt"
     save_checkpoint(path, t, mask)
     data = path.read_bytes()
@@ -340,6 +456,21 @@ def test_checkpoint_rejects_truncated_file(tmp_path, rng):
     path.write_bytes(data + b"\0")
     with pytest.raises(ValueError, match="bytes"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_nonzero_bitset_padding(tmp_path, rng):
+    # 9 of 15 entries active: a 2-byte bitset whose bit 15 is padding
+    mask = init_mask((5, 3), 0.4, rng)
+    path = tmp_path / "ckpt"
+    save_checkpoint(path, table_of(np.where(mask.bits, rng.normal(size=(5, 3)), 0.0)), mask)
+    head, body = path.read_bytes().split(b"\n", 1)
+    assert "mask" not in json.loads(head) and len(body) == 2 + 8 * 9
+    body = bytearray(body)
+    body[15 // 8] ^= 0x80 >> (15 % 8)
+    path.write_bytes(head + b"\n" + bytes(body))
+    with pytest.raises(ValueError, match="nonzero padding bits") as exc_info:
+        load_checkpoint(path)
+    assert str(path) in str(exc_info.value)
 
 
 @settings(max_examples=80, deadline=None)

@@ -210,6 +210,7 @@ def test_exploration_step_moves_expected_positions():
     bits = np.array([[True, True], [True, False], [False, True]])
     t = EmbeddingTable(1, 2, 2, w * bits)
     mask = SparseMask(bits.copy(), target_sparsity=1 - 4 / 6)
+    t.follow(mask)
     grad = np.array([[0.0, 0.0], [0.0, 0.3], [0.9, 0.0]])
     sched = ExplorationSchedule(0.5, 10, 100, "none")
     calls = []
@@ -234,10 +235,10 @@ def test_exploration_step_moves_expected_positions():
 def test_exploration_step_budget_and_disjointness(rng):
     for trial in range(30):
         shape = (int(rng.integers(3, 10)), int(rng.integers(2, 8)))
-        t = EmbeddingTable(shape[0] // 2, shape[0] - shape[0] // 2, shape[1],
-                           rng.normal(size=shape))
         mask = init_mask(shape, 0.5, rng)
-        t.weights[~mask.bits] = 0.0
+        t = EmbeddingTable(shape[0] // 2, shape[0] - shape[0] // 2, shape[1],
+                           np.where(mask.bits, rng.normal(size=shape), 0.0))
+        t.follow(mask)
         before_active = np.flatnonzero(mask.bits.ravel())
         sched = ExplorationSchedule(float(rng.uniform(0, 0.9)), 10, 100, "cosine")
         grad = rng.normal(size=shape)
@@ -252,9 +253,9 @@ def test_exploration_step_budget_and_disjointness(rng):
 
 
 def test_exploration_step_rho_zero_is_noop(rng):
-    t = EmbeddingTable(2, 2, 3, rng.normal(size=(4, 3)))
     mask = init_mask((4, 3), 0.5, rng)
-    t.weights[~mask.bits] = 0.0
+    t = EmbeddingTable(2, 2, 3, np.where(mask.bits, rng.normal(size=(4, 3)), 0.0))
+    t.follow(mask)
     before = mask.bits.copy()
     sched = ExplorationSchedule(0.0, 10, 100)
     event = exploration_step(t, mask, sched, 10, lambda: np.ones((4, 3)))
@@ -265,6 +266,7 @@ def test_exploration_step_rho_zero_is_noop(rng):
 def test_exploration_step_rejects_nonfinite_gradient(rng):
     t = EmbeddingTable(2, 2, 2, rng.normal(size=(4, 2)))
     mask = init_mask((4, 2), 0.5, rng)
+    t.follow(mask)
     sched = ExplorationSchedule(0.5, 10, 100, "none")
     grad = np.zeros((4, 2))
     grad[0, 1] = np.inf

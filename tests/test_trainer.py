@@ -11,11 +11,12 @@ from scipy.special import expit
 from sparsecf.costs import macs_forward_batch, macs_training, memory_bytes
 from sparsecf.data import _split_digest, sample_batch, split_holdout
 from sparsecf.embeddings import (EmbeddingTable, OptimizerState, SparseMask, init_mask, init_table,
-                                 load_checkpoint, masked_step, target_active_count, zero_inactive)
+                                 load_checkpoint, masked_step, target_active_count)
 from sparsecf.models import (BackboneConfig, bpr_loss_and_grad, combined_embeddings,
                              lightgcn_propagate)
 from sparsecf.sparsifier import (ExplorationSchedule, exploration_step, is_exploration_iteration,
-                                 one_shot_magnitude_prune)
+                                 one_shot_magnitude_prune, select_grow, select_prune,
+                                 update_ratio)
 from sparsecf.synth import generate_interactions
 from sparsecf.trainer import (METRICS_COLUMNS, RunConfig, TrainingAborted, config_digest, train,
                               write_csv)
@@ -393,12 +394,10 @@ def test_run_aborted_at_exploration_keeps_the_budget(tmp_path, small_split):
 # learning step against the reference
 
 
-def bpr_loss_and_grad_reference(cfg, table, batch):
-    """BPR loss and dense gradient as computed before the step gathered each
-    row once: separate gathers per block, two concatenations and a CSR
-    incidence matrix built from COO."""
-    weights = table.weights
-    num_users = table.num_users
+def bpr_loss_and_grad_reference(cfg, weights, num_users, batch):
+    """BPR loss and dense gradient of a dense table as computed before the
+    step gathered each row once: separate gathers per block, two
+    concatenations and a CSR incidence matrix built from COO."""
     users = batch[:, 0]
     pos = batch[:, 1] + num_users
     neg = batch[:, 2] + num_users
@@ -431,21 +430,22 @@ def bpr_loss_and_grad_reference(cfg, table, batch):
     return loss, inc @ (rank_vals + reg_vals)
 
 
-def masked_step_reference(table, grad, mask, opt):
-    """One optimizer update as computed before the mask cached its active
-    index: the index is recomputed from the bits, and Adam runs out of place
+def masked_step_reference(dense, grad, mask, opt):
+    """One optimizer update of a dense table, in place, as computed before
+    the mask cached its active index and the table held its active entries
+    alone: the index is recomputed from the bits, and Adam runs out of place
     on moments over the full table, which the caller holds at zero wherever
     the mask is inactive."""
     idx = slice(None) if mask.active_count == mask.total else np.flatnonzero(mask.bits)
-    weights = table.weights.reshape(-1)
+    weights = dense.reshape(-1)
     g = grad.reshape(-1)[idx]
     opt.step += 1
     if opt.kind == "sgd":
         weights[idx] -= opt.lr * g
         return
     if opt.m is None:
-        opt.m = np.zeros(table.weights.shape)
-        opt.v = np.zeros(table.weights.shape)
+        opt.m = np.zeros(dense.shape)
+        opt.v = np.zeros(dense.shape)
     m_flat = opt.m.reshape(-1)
     v_flat = opt.v.reshape(-1)
     m = opt.beta1 * m_flat[idx] + (1.0 - opt.beta1) * g
@@ -479,14 +479,15 @@ def test_learning_step_matches_reference(small_split, backbone, optimizer, spars
     bb = BackboneConfig.for_dataset(backbone, layers, ds, l2_reg=1e-2)
     table = EmbeddingTable(ds.num_users, ds.num_items, 8,
                            rng.normal(0.0, 0.1, size=(ds.num_users + ds.num_items, 8)))
+    # the reference keeps a dense table of its own, zero wherever its mask is inactive
+    ref_w = table.weights.copy()
     if sparsity:
-        mask = init_mask(table.weights.shape, sparsity, rng)
-        zero_inactive(table, mask)
+        mask = init_mask(table.shape, sparsity, rng)
+        table.follow(mask)
+        ref_w[~mask.bits] = 0.0
     else:
-        mask = SparseMask(np.ones_like(table.weights, dtype=bool))
+        mask = SparseMask(np.ones(table.shape, dtype=bool))
     lr = 0.05 if optimizer == "adam" else 5.0
-    ref_table = EmbeddingTable(table.num_users, table.num_items, table.dim,
-                               table.weights.copy())
     ref_mask = SparseMask(mask.bits.copy())
     opt, ref_opt = OptimizerState(optimizer, lr), OptimizerState(optimizer, lr)
     sched = ExplorationSchedule(rho0=0.3, delta_t=delta_t, t_end=steps + 1, decay="none")
@@ -495,28 +496,34 @@ def test_learning_step_matches_reference(small_split, backbone, optimizer, spars
         if sparsity and is_exploration_iteration(sched, t):
             event = exploration_step(table, mask, sched, t,
                                      lambda: bpr_loss_and_grad(bb, table, batch)[1])
-            ref_event = exploration_step(
-                ref_table, ref_mask, sched, t,
-                lambda: bpr_loss_and_grad_reference(bb, ref_table, batch)[1])
+            # the reference event on the dense table: zero what is pruned,
+            # grow by the gradient of that table
+            ref_table = EmbeddingTable(ds.num_users, ds.num_items, 8, ref_w)
+            pruned = select_prune(ref_table, ref_mask, update_ratio(sched, t))
+            ref_w.reshape(-1)[pruned] = 0.0
+            ref_grad = bpr_loss_and_grad_reference(bb, ref_w, ds.num_users, batch)[1]
+            grown = select_grow(ref_grad, ref_mask, len(pruned), exclude=pruned)
+            ref_mask.move(pruned, grown)
             assert event.count > 0
-            assert np.array_equal(event.grown_positions, ref_event.grown_positions)
+            assert np.array_equal(event.pruned_positions, pruned)
+            assert np.array_equal(event.grown_positions, grown)
             assert np.array_equal(mask.bits, ref_mask.bits)
             if ref_opt.m is not None:
                 # pruned and regrown entries restart from a cold optimizer state
-                moved = np.concatenate([ref_event.pruned_positions, ref_event.grown_positions])
+                moved = np.concatenate([pruned, grown])
                 ref_opt.m.reshape(-1)[moved] = 0.0
                 ref_opt.v.reshape(-1)[moved] = 0.0
         else:
             loss, grad = bpr_loss_and_grad(bb, table, batch)
-            ref_loss, ref_grad = bpr_loss_and_grad_reference(bb, ref_table, batch)
+            ref_loss, ref_grad = bpr_loss_and_grad_reference(bb, ref_w, ds.num_users, batch)
             assert loss == ref_loss
             assert same_bits(grad, ref_grad)
             masked_step(table, grad, mask, opt)
-            masked_step_reference(ref_table, ref_grad, ref_mask, ref_opt)
+            masked_step_reference(ref_w, ref_grad, ref_mask, ref_opt)
             if optimizer == "adam":
                 # the moments follow the mask's active entries in row-major order
                 active = ref_mask.bits.reshape(-1)
                 assert len(opt.m) == len(opt.v) == mask.active_count
                 assert same_bits(opt.m, ref_opt.m.reshape(-1)[active])
                 assert same_bits(opt.v, ref_opt.v.reshape(-1)[active])
-        assert same_bits(table.weights, ref_table.weights)
+        assert same_bits(table.weights, ref_w)
