@@ -442,7 +442,7 @@ def main(argv=None) -> int:
     except TrainingAborted as exc:
         print(f"error: training aborted: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (DataFormatError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

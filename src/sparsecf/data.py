@@ -1,9 +1,13 @@
-"""Implicit-feedback interaction data: loading, splitting, batch sampling."""
+"""Implicit-feedback interaction data: loading, splitting, batch sampling.
+
+A pair-lines text in save_dataset's grammar (leading '#' lines, then lines
+"<digits> <digits>\n" of 1-18 digits each) is parsed in C by numpy; any
+other text goes through a line loop, more slowly, to the same result.
+"""
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import re
@@ -16,13 +20,6 @@ import numpy as np
 FORMATS = ("pair-lines", "per-user-adjacency")
 
 _HEADER_RE = re.compile(r"#\s*users\s*=\s*(\d+)\s+items\s*=\s*(\d+)\s*$")
-# The characters of a text that numpy's C reader splits into the same lines
-# and fields as the line loop: printable ASCII, tab and newline (read_text has
-# already turned "\r\n" and "\r" into "\n"). str.splitlines also breaks at
-# \v, \f and \x1c-\x1e, which loadtxt takes for spaces.
-_C_READER_CHARS = bytes(range(0x20, 0x7F)) + b"\t\n"
-# A comma at either end of a line's fields: an empty field to the line loop.
-_EDGE_COMMA_RE = re.compile(r"^[ \t]*,|,[ \t]*$", re.MULTILINE)
 
 
 class DataFormatError(ValueError):
@@ -146,14 +143,22 @@ def _parse_edges(path, format: str) -> tuple[np.ndarray, tuple | None]:
     header declares.
 
     The line loop below defines both formats and names the file and line of
-    a bad line. A pair-lines text is first offered to numpy's C reader
-    (_read_pair_lines), whose result is used only where it is exactly what
-    the loop would return; any other text, valid or not, goes through the
-    loop.
+    a bad line. A pair-lines text in save_dataset's grammar is parsed by
+    _read_pair_lines instead, to the same result; any other text, valid or
+    not, goes through the loop.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    text = Path(path).read_text(encoding="utf-8")
+    content = Path(path).read_bytes()
+    try:
+        text = content.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as the loop numbers lines: str.splitlines of the text before
+        line_no = len((content[: exc.start].decode("utf-8") + "_").splitlines())
+        raise DataFormatError(f"{path}: line {line_no}: not UTF-8 ({exc.reason})") from None
+    # line ends as Path.read_text reads them, so a "\r\n" file takes the fast path too
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if format == "pair-lines":
         read = _read_pair_lines(text)
         if read is not None:
@@ -185,45 +190,38 @@ def _parse_edges(path, format: str) -> tuple[np.ndarray, tuple | None]:
 
 
 def _read_pair_lines(text: str) -> tuple[np.ndarray, tuple | None] | None:
-    """_parse_edges's result for a pair-lines text, read by np.loadtxt, or
-    None where it could differ from the line loop's.
+    """_parse_edges's result for a pair-lines text in save_dataset's grammar,
+    or None for any other text.
 
-    It differs on a text with characters outside _C_READER_CHARS, a '#'
-    after a field (loadtxt drops it as a comment), a comma at either end of
-    a line's fields (commas become spaces here), a line without exactly two
-    fields, and a token loadtxt cannot read as int64 or that is negative.
+    The grammar: leading lines that start with '#' and hold only printable
+    characters, each stripped and matched with _HEADER_RE as the loop does;
+    then lines of two fields of 1-18 ASCII digits, one space between them,
+    each ended by a newline (the last may lack it).
     """
-    if not text.isascii() or text.encode("ascii").translate(None, _C_READER_CHARS):
-        return None
-    # each line holding a '#' must be a comment line, which may be the header
+    header = re.match(r"(?:#.*\n?)*", text).group()  # the leading '#' lines
     declared = None
-    at = text.find("#")
-    while at >= 0:
-        line_start = text.rfind("\n", 0, at) + 1
-        line_end = text.find("\n", at)
-        line_end = len(text) if line_end < 0 else line_end
-        if text[line_start:at].strip(" \t"):
+    for line in header.split("\n"):
+        # str.splitlines breaks a line at no printable character
+        if not line.isprintable():
             return None
-        m = _HEADER_RE.match(text, at, line_end)
+        m = _HEADER_RE.match(line.strip())
         if m:
             declared = (int(m.group(1)), int(m.group(2)))
-        at = text.find("#", line_end)
-    if "," in text:
-        if _EDGE_COMMA_RE.search(text):
-            return None
-        text = text.replace(",", " ")
-    try:
-        with warnings.catch_warnings():
-            # a text with no data lines, such as an empty test split, is legal
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            arr = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2)
-    except ValueError:
+    raw = text[len(header):].encode()
+    if not raw:
+        return np.empty((0, 2), dtype=np.int64), declared
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    seps = raw.translate(None, b"0123456789")
+    if seps != b" \n" * (len(seps) // 2):
         return None
-    if not arr.size:
-        return arr.reshape(0, 2), declared
-    if arr.shape[1] != 2 or arr.min() < 0:
+    # separators 2-19 bytes apart hold fields of 1-18 digits, which keep
+    # every value below 2**63; a line end before the text starts the first
+    ends = np.flatnonzero(np.frombuffer(b"\n" + raw, dtype=np.uint8) < ord("0"))
+    steps = np.diff(ends)
+    if steps.min() < 2 or steps.max() > 19:
         return None
-    return arr, declared
+    return np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, 2), declared
 
 
 def load_interactions(path, format: str = "pair-lines") -> InteractionDataset:

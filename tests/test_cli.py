@@ -89,6 +89,12 @@ def test_prepare_names_file_and_user_without_interactions(tmp_path, capsys):
     assert "user 2 has none" in err
 
 
+def test_prepare_rejects_a_directory_as_input(tmp_path, capsys):
+    rc = main(["prepare", "--input", str(tmp_path), "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--avg-degree", "-1"], "avg_degree must be finite and positive, got -1.0"),
     (["--pop-exponent", "nan"], "popularity_exponent must be finite, got nan"),
@@ -215,6 +221,14 @@ def test_train_names_the_directory_and_the_pair_of_overlapping_splits(tmp_path, 
     assert run_train(d, tmp_path / "r") == 2
     err = capsys.readouterr().err
     assert err == f"error: {d}: train and test splits overlap at user 2, item 2\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_train_rejects_a_split_whose_train_file_is_a_directory(tmp_path, capsys):
+    d = tmp_path / "d"
+    (d / "train.txt").mkdir(parents=True)
+    assert run_train(d, tmp_path / "r") == 2
+    assert str(d / "train.txt") in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

@@ -99,6 +99,19 @@ def test_index_beyond_int64_names_file_and_line(tmp_path, loader):
         loader(path)
 
 
+@pytest.mark.parametrize("content, line_no, reason", [
+    (b"0 0\r\n1 1\n2 \xff3\n", 3, "invalid start byte"),
+    (b"\xe2\x82 0\n", 1, "invalid continuation byte"),
+])
+@pytest.mark.parametrize("loader", [load_interactions, lambda p: load_dataset(p.parent)])
+def test_text_that_is_not_utf8_names_file_and_line(tmp_path, loader, content, line_no, reason):
+    path = tmp_path / "train.txt"
+    path.write_bytes(content)
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"{path}: line {line_no}: not UTF-8 ({reason})")):
+        loader(path)
+
+
 @pytest.mark.parametrize("text", ["0 0\n4294967296 0\n0 4294967295\n", f"{2**63 - 1} 0\n"])
 @pytest.mark.parametrize("loader", [load_interactions, lambda p: load_dataset(p.parent)])
 def test_index_space_beyond_int64_keys_is_rejected(tmp_path, loader, text):
@@ -295,7 +308,7 @@ _REFERENCE_HEADER_RE = re.compile(r"#\s*users\s*=\s*(\d+)\s+items\s*=\s*(\d+)\s*
 def parse_pair_lines_reference(path):
     """(edges, declared sizes) of a pair-lines file, one line at a time.
 
-    data._parse_edges before it handed pair-lines texts to np.loadtxt,
+    data._parse_edges before it gave pair-lines texts a fast path,
     restricted to the pair-lines format, with the later rule that an index
     is below 2**63.
     """
@@ -334,9 +347,10 @@ def parse_pair_lines_reference(path):
 
 _pads = st.sampled_from(["", "", " ", "\t", " \t"])
 _separators = st.sampled_from([" ", "  ", "\t", " \t ", ",", ", ", ",,", " , "])
-# tokens int() reads as a non-negative index; loadtxt refuses the last two
+# tokens int() reads as a non-negative index below 2**63; the fast path
+# takes only plain ones of at most 18 digits
 _indices = st.integers(min_value=0, max_value=3000).map(str) | st.sampled_from(
-    ["-0", "007", "+1", "1_0", "\u0663"])
+    ["-0", "007", "+1", "1_0", "\u0663", "9" * 18, "1" + "0" * 18])
 _pair_lines = st.builds(lambda a, u, sep, i, b: a + u + sep + i + b,
                         _pads, _indices, _separators, _indices, _pads)
 _bad_lines = st.one_of(
@@ -346,7 +360,7 @@ _bad_lines = st.one_of(
     st.builds(lambda lead, u: lead + u, _pads, _indices),
     st.builds(lambda u, bad: f"{u} {bad}", _indices, st.sampled_from(
         ["-1", "-7", "x", "1.0", "1e3", "0x1", "", "99999999999999999999", "1\x002"])),
-    # a line break to str.splitlines, a space to loadtxt
+    # a line break to str.splitlines, though not a newline
     st.builds(lambda u, sep, i: u + sep + i, _indices,
               st.sampled_from(["\v", "\x0c", "\x1c", "\x1e"]), _indices),
     st.sampled_from([",", ",,", " , "]),
@@ -391,6 +405,17 @@ def _outcome(parse, path):
 @example(text="0 -1\n")
 @example(text="0\x0b1\n")
 @example(text="# c\x0c0 1\n")
+@example(text="# users=3 items=4\n")
+@example(text="# users=3 items=4\n0 1\n2 3")
+@example(text=f"{'9' * 18} {'9' * 18}\n")
+@example(text=f"{'1' + '0' * 18} 0\n")
+@example(text=f"0 {2**63}\n")
+@example(text="0 1\n2 \n")
+@example(text="0 1\n 2\n")
+@example(text="0 1\n\n2 3\n")
+@example(text="0 1\n# users=3 items=4\n2 3\n")
+@example(text="007 0000\n")
+@example(text="# users=3 items=4\x1c0 1\n")
 def test_pair_lines_reader_matches_line_loop(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("pairs") / "edges.txt"
     path.write_bytes(text.encode("utf-8"))
@@ -414,3 +439,11 @@ def test_saved_files_take_the_c_reader(tmp_path, small_split):
         assert read is not None
         assert np.array_equal(read[0], edges)
         assert read[1] == (small_split.num_users, small_split.num_items)
+
+
+def test_windows_line_ends_take_the_fast_path(tmp_path, monkeypatch, small_split):
+    save_dataset(small_split, tmp_path / "d")
+    train_txt = tmp_path / "d" / "train.txt"
+    train_txt.write_bytes(train_txt.read_bytes().replace(b"\n", b"\r\n"))
+    monkeypatch.setattr(data, "_parse_index", None)  # the line loop would call it
+    assert np.array_equal(load_dataset(tmp_path / "d").train_edges, small_split.train_edges)
