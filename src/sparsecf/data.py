@@ -156,6 +156,7 @@ def _parse_edges(path, format: str) -> tuple[np.ndarray, tuple | None]:
         # numbered as the loop numbers lines: str.splitlines of the text before
         line_no = len((content[: exc.start].decode("utf-8") + "_").splitlines())
         raise DataFormatError(f"{path}: line {line_no}: not UTF-8 ({exc.reason})") from None
+    del content  # each whole-text copy goes once the next is made
     # line ends as Path.read_text reads them, so a "\r\n" file takes the fast path too
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -215,12 +216,14 @@ def _read_pair_lines(text: str) -> tuple[np.ndarray, tuple | None] | None:
     seps = raw.translate(None, b"0123456789")
     if seps != b" \n" * (len(seps) // 2):
         return None
+    del seps
     # separators 2-19 bytes apart hold fields of 1-18 digits, which keep
     # every value below 2**63; a line end before the text starts the first
     ends = np.flatnonzero(np.frombuffer(b"\n" + raw, dtype=np.uint8) < ord("0"))
     steps = np.diff(ends)
     if steps.min() < 2 or steps.max() > 19:
         return None
+    del ends, steps
     return np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, 2), declared
 
 

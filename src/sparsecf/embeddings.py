@@ -6,10 +6,15 @@ laid out on, in the order of that mask's flat (row-major) active index,
 and inactive entries have no storage. So a table at sparsity s holds
 (1 - s) of the dense table's weights. A table built from a dense
 (num_users + num_items, dim) array is all-active, with values that array
-flattened. EmbeddingTable.follow moves a table to another mask: kept
-entries carry over, dropped ones go, and new ones read zero. Adam's
-moments are held in the same layout, and the values, m and v all move
-through one helper, _follow.
+flattened. Adam's moments are held in the same layout.
+
+The mask owns the layout: its bits, its active index and the slot map of
+its last move. SparseMask.move derives that map once, as the slots of the
+kept entries in the old layout and in the new one, and every array laid
+out on the old layout follows through it: the values in
+EmbeddingTable.follow, then m and v in the next masked_step, which drops
+the map. Kept entries carry over bitwise, dropped ones go, and new ones
+read zero. A table laid out on any other layout gathers from its weights.
 
 Every read of the dense table goes through weights: a read-only
 (rows, dim) materialisation with exact zeros at inactive entries, made
@@ -112,10 +117,16 @@ class EmbeddingTable:
         return self._bits is mask.bits
 
     def _values_on(self, mask: "SparseMask") -> np.ndarray:
-        """The table's entries at mask's active index, in its order."""
+        """The table's entries at mask's active index, in its order: the
+        values, or a new array carried through the mask's last move or
+        gathered from the weights."""
         if self._on(mask):
             return self.values
-        return self.weights.reshape(-1)[mask._active_index()]
+        if mask._moved_from(self._bits):
+            return mask._carry(self.values)
+        index, dense = mask._active_index(), self.weights.reshape(-1)
+        # under an all-active mask the gather is a view of read-only weights
+        return dense.copy() if isinstance(index, slice) else dense[index]
 
     def follow(self, mask: "SparseMask") -> None:
         """Lay the values out on mask's active index: entries the mask keeps
@@ -125,36 +136,9 @@ class EmbeddingTable:
         if self._on(mask):
             return
         index = mask._active_index()
-        (values,) = _follow([self.values], self._active_index(), index, self.total_entries)
-        self._lay(self.num_users, self.num_items, self.dim, values,
+        self._lay(self.num_users, self.num_items, self.dim, self._values_on(mask),
                   None if isinstance(index, slice) else mask.bits)
         self._index = index
-
-
-def _follow(arrays: list, old: np.ndarray | slice | None, new: np.ndarray | slice,
-            total: int) -> list:
-    """Each of arrays, laid out on the flat active index old, laid out on
-    new instead: entries new to `new` read zero, those it drops go. An
-    index is slice(None) when every one of the total entries is active;
-    old is None when there is nothing to carry."""
-    if isinstance(old, slice):
-        return [a[new] for a in arrays]
-    out = [np.zeros(total if isinstance(new, slice) else len(new)) for _ in arrays]
-    if old is None:
-        return out
-    if isinstance(new, slice):
-        src, dst = slice(None), old
-    else:
-        # a position both indices hold sorts into a pair, old's copy first; a
-        # stable sort merges the two ascending runs in linear time
-        both = np.concatenate([old, new])
-        order = np.argsort(both, kind="stable")
-        merged = both[order]
-        pair = np.flatnonzero(merged[1:] == merged[:-1])
-        src, dst = order[pair], order[pair + 1] - len(old)
-    for o, a in zip(out, arrays):
-        o[dst] = a[src]
-    return out
 
 
 def init_table(num_users: int, num_items: int, dim: int,
@@ -170,10 +154,10 @@ def init_table(num_users: int, num_items: int, dim: int,
 class SparseMask:
     """Binary mask over the embedding table; True marks active entries.
 
-    The mask makes the bits array it is given read-only; move is its only
-    writer. The mask caches the flat index of its active entries, which
-    move drops, so masked_step and active_count compute it once per
-    exploration event.
+    The mask owns the active layout. It makes the bits array it is given
+    read-only and caches the flat index of its active entries. move, the
+    only writer of the bits, also derives the slot map of the kept
+    entries (see the module docstring); masked_step drops it.
     """
 
     bits: np.ndarray  # bool, of the table's shape
@@ -181,19 +165,39 @@ class SparseMask:
     _active: np.ndarray | slice | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # (bits before the last move, kept entries' slots then, their slots now)
+    _moved: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.bits.flags.writeable = False
 
     def move(self, pruned: np.ndarray, grown: np.ndarray) -> None:
-        """Clear the bits at flat positions pruned and set them at grown."""
-        bits = self.bits.copy()
+        """Clear the bits at flat positions pruned and set them at grown,
+        and derive the slot map of the entries kept."""
+        old_bits, old_index = self.bits, self._active_index()
+        bits = old_bits.copy()
         flat = bits.reshape(-1)
         flat[pruned] = False
         flat[grown] = True
         bits.flags.writeable = False
-        self.bits = bits
-        self._active = None
+        self.bits, self._active = bits, None
+        # both lists hold the kept entries in ascending flat order, so the
+        # k-th slot of one pairs with the k-th of the other
+        self._moved = (old_bits, np.flatnonzero(flat[old_index]),
+                       np.flatnonzero(old_bits.reshape(-1)[self._active_index()]))
+
+    def _moved_from(self, layout: np.ndarray | None) -> bool:
+        """Whether layout, the bits an array is laid out on, is this mask's
+        before its last move."""
+        return self._moved is not None and self._moved[0] is layout
+
+    def _carry(self, values: np.ndarray) -> np.ndarray:
+        """values, laid out on the mask before its last move, laid out on it
+        now: kept entries carry over bitwise, grown ones read zero."""
+        _, kept, landed = self._moved
+        out = np.zeros(self.active_count)
+        out[landed] = values[kept]
+        return out
 
     @property
     def active_count(self) -> int:
@@ -249,9 +253,10 @@ class OptimizerState:
 
     Adam's moments m and v hold one value per active entry, in the order
     of the mask's flat active index (the whole table under an all-active
-    mask), as the table's values do. masked_step moves them to a new index
-    with the values' helper, _follow, so regrown entries start from a cold
-    optimizer state.
+    mask), as the table's values do. _layout is the bits they are laid out
+    on. When the mask has moved since, masked_step carries them through the
+    move's slot map, so regrown entries start from a cold optimizer state;
+    moments laid out on any other layout raise ValueError.
     """
 
     beta1: ClassVar[float] = 0.9
@@ -263,7 +268,7 @@ class OptimizerState:
     step: int = field(default=0, init=False)
     m: np.ndarray | None = field(default=None, init=False, repr=False)
     v: np.ndarray | None = field(default=None, init=False, repr=False)
-    _index: np.ndarray | slice | None = field(default=None, init=False, repr=False, compare=False)
+    _layout: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -300,24 +305,29 @@ def masked_step(
     index; they are updated in place, and the work scales with the active
     count. Adam keeps dense semantics over the active set: every active
     moment decays on every step, also where the gradient is zero. Its
-    moments follow the mask's index whenever SparseMask.move has replaced
-    it (see OptimizerState).
+    moments follow the mask's last move (see OptimizerState), after which
+    the step drops the move's slot map.
     """
     if grad.shape != table.shape:
         raise ValueError(f"grad shape {grad.shape} != table shape {table.shape}")
     _require_layout(table, mask)
     _check_finite(grad, "gradient")
-    idx = mask._active_index()
     w = table.values
     # under a dense mask this is a view
-    g = grad.reshape(-1)[idx]
+    g = grad.reshape(-1)[mask._active_index()]
+    if opt.kind == "adam" and opt._layout is not mask.bits:
+        if opt.m is None:
+            opt.m, opt.v = np.zeros(len(w)), np.zeros(len(w))
+        elif mask._moved_from(opt._layout):
+            opt.m, opt.v = mask._carry(opt.m), mask._carry(opt.v)
+        else:
+            raise ValueError("Adam's moments are laid out on neither this mask nor its "
+                             "layout before its last move")
+        opt._layout = mask.bits
     opt.step += 1
     if opt.kind == "sgd":
         w -= opt.lr * g
     else:
-        if opt._index is not idx:
-            opt.m, opt.v = _follow([opt.m, opt.v], opt._index, idx, table.total_entries)
-            opt._index = idx
         m, v = opt.m, opt.v
         # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + ((1 - beta2) * g) * g
         tmp = np.multiply(1.0 - opt.beta1, g)
@@ -335,6 +345,8 @@ def masked_step(
         update *= opt.lr
         update /= tmp
         w -= update
+    # every array laid out on the layout before the last move has followed
+    mask._moved = None
 
 
 def save_checkpoint(path, table: EmbeddingTable, mask: SparseMask) -> None:

@@ -10,10 +10,12 @@ magnitude prune of a dense table) share the same budget rule.
 The table stores one value per active entry, in the order of the mask's
 flat active index (see embeddings), so pruning ranks those values as
 they are, with no gather. An exploration event zeroes the values it
-prunes, so the growth gradient sees them as zero, then moves the mask;
-the table follows it in one move, which drops the pruned values and
-starts the grown entries at zero. A one-shot prune reads the dense
-weights; the trainer's next phase moves the table onto its mask.
+prunes, so the growth gradient sees them as zero, then moves the mask.
+The move derives one slot map, owned by the mask, from the old layout to
+the new: the table follows through it at once, dropping the pruned values
+and starting the grown entries at zero, and Adam's moments follow through
+it in the next learning step. A one-shot prune reads the dense weights;
+the trainer's next phase moves the table onto its mask.
 """
 
 from __future__ import annotations
@@ -184,9 +186,10 @@ def exploration_step(
     asks grad_fn for one dense gradient on a fresh batch of that table and
     picks the largest-|grad| inactive positions to grow. The bits then move
     in one SparseMask.move, so a non-finite gradient raises with the mask
-    unchanged, and the table follows the mask: the pruned values go and the
-    grown ones start at zero. masked_step starts grown entries from a cold
-    optimizer state. The active count is identical before and after.
+    unchanged, and the table follows the move's slot map: the pruned values
+    go and the grown ones start at zero. The next masked_step carries
+    Adam's moments through the same map, so grown entries start from a
+    cold optimizer state. The active count is identical before and after.
     """
     _require_layout(table, mask)
     rho_t = update_ratio(sched, t)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from sparsecf import data
 from sparsecf.data import (DataFormatError, NoValidNegativeError, load_dataset, load_interactions,
                            make_dataset, sample_batch, save_dataset, split_holdout)
+from sparsecf.synth import generate_interactions
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -390,6 +392,31 @@ def _pair_lines_texts(draw):
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
+_saved_fields = st.integers(min_value=0, max_value=10**18 - 1).map(str)
+
+
+@st.composite
+def _saved_texts_with_one_bad_field(draw):
+    """A text in save_dataset's grammar with exactly one field mutated: to
+    19 or more digits, to empty, by a non-digit character, or by doubling
+    the space before it (a leading space, for a user field)."""
+    pairs = draw(st.lists(st.tuples(_saved_fields, _saved_fields), min_size=1, max_size=8))
+    fields = [f for pair in pairs for f in pair]
+    at = draw(st.integers(min_value=0, max_value=len(fields) - 1))
+    field = fields[at]
+    cut = draw(st.integers(min_value=0, max_value=len(field)))
+    fields[at] = draw(st.one_of(
+        st.integers(min_value=10**18).map(str),
+        st.text("0123456789", min_size=19, max_size=24),
+        st.just(""),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="0123456789").map(
+            lambda c: field[:cut] + c + field[cut:]),
+        st.just(" " + field),
+    ))
+    header = "# users={} items={}\n".format(*draw(st.tuples(_saved_fields, _saved_fields)))
+    return header + "".join(f"{u} {i}\n" for u, i in zip(fields[::2], fields[1::2]))
+
+
 def _outcome(parse, path):
     try:
         return parse(path)
@@ -398,7 +425,7 @@ def _outcome(parse, path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=_pair_lines_texts())
+@given(text=st.one_of(_pair_lines_texts(), _saved_texts_with_one_bad_field()))
 @example(text="0 1,\n")
 @example(text=",0 1\n")
 @example(text="0 1 # note\n")
@@ -429,6 +456,24 @@ def test_pair_lines_reader_matches_line_loop(tmp_path_factory, text):
         assert got[1] == want[1]
     else:
         assert got == want
+
+
+def test_reading_a_saved_split_frees_its_whole_text_copies(tmp_path):
+    # the desk split: 943 users, 1682 items, a 684,030-byte train.txt
+    split = split_holdout(generate_interactions(num_users=943, num_items=1682, avg_degree=100,
+                                                min_degree=20, seed=17), 0.2, seed=23)
+    save_dataset(split, tmp_path)
+    path = tmp_path / "train.txt"
+    tracemalloc.start()
+    try:
+        edges, _ = data._parse_edges(path, "pair-lines")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(edges, split.train_edges)
+    # at most the text, its bytes and the edges are held together: about 6
+    # times the file, where keeping every whole-text temporary took 9
+    assert peak < 7 * path.stat().st_size
 
 
 def test_saved_files_take_the_c_reader(tmp_path, small_split):

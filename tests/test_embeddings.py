@@ -178,6 +178,36 @@ def test_a_trained_table_stores_one_value_per_active_entry(small_split):
     assert art.table.values.base is None
 
 
+def test_a_trained_mask_holds_its_layout_and_no_slot_map(small_split):
+    cfg = RunConfig(method="dsl", sparsity=0.9, dim=8, t_end=30, delta_t=10, batch_size=32,
+                    optimizer="adam")
+    art = train(cfg, small_split)
+    assert len(art.events) == 2
+    mask = art.mask
+    # the slot map of the last move went once the moments had taken it
+    held = [name for name, value in vars(mask).items()
+            if value is not None and value is not mask.bits and value is not mask._active_index()
+            and not isinstance(value, float)]
+    assert held == []
+
+
+def test_adam_moments_two_moves_behind_their_mask_raise(rng):
+    mask = init_mask((6, 4), 0.5, rng)
+    t = table_of(rng.normal(size=(6, 4)))
+    t.follow(mask)
+    opt = OptimizerState("adam", lr=0.01)
+    masked_step(t, rng.normal(size=(6, 4)), mask, opt)
+    for _ in range(2):
+        active, inactive = np.flatnonzero(mask.bits), np.flatnonzero(~mask.bits)
+        mask.move(active[:2], inactive[:2])
+        t.follow(mask)
+    m = opt.m.copy()
+    with pytest.raises(ValueError, match="moments are laid out on neither"):
+        masked_step(t, rng.normal(size=(6, 4)), mask, opt)
+    assert opt.step == 1
+    assert np.array_equal(opt.m, m)
+
+
 def test_load_checkpoint_never_holds_the_dense_table(tmp_path, rng):
     # the desk shape (943 users, 1682 items, d = 64) at s = 0.9, Elias-Fano coded
     t = init_table(943, 1682, 64, rng)

@@ -8,6 +8,10 @@ constant, or, where a test needs another value, the parameter is required.
 The same rule holds for the package front: sparsecf.__all__ names what
 src/sparsecf and bench/ import from the top-level package, plus the run's
 entry points. Every other name is imported from the module that defines it.
+
+And for code itself: every function, class and method defined in
+src/sparsecf is named by some code in src/sparsecf or bench/. One that only
+tests reach is dead code kept alive by its tests.
 """
 
 import ast
@@ -143,3 +147,33 @@ def test_the_package_front_exports_what_its_callers_import():
     assert set(exported) == _front_names() | ENTRY_POINTS
     unresolved = [name for name in exported if not hasattr(sparsecf, name)]
     assert not unresolved, f"__all__ names that sparsecf does not define: {unresolved}"
+
+
+def _definitions(tree: ast.Module):
+    """Names of a module's module-level functions and classes, and of the
+    methods of those classes other than dunder methods, which Python calls
+    by protocol."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not (
+                        fn.name.startswith("__") and fn.name.endswith("__")):
+                    yield fn.name
+
+
+def test_every_definition_is_used_outside_the_tests():
+    used = set()
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+              if name not in used]
+    assert not unused, f"definitions that no code in src/sparsecf or bench/ names: {unused}"
