@@ -138,6 +138,8 @@ def _resolve_config(args) -> RunConfig:
 
 
 def cmd_prepare(args) -> int:
+    # argparse takes exactly one of --input and --synthetic
+    source = "synthetic" if args.synthetic else str(args.input)
     if args.synthetic:
         ds = generate_interactions(
             num_users=args.users,
@@ -147,13 +149,8 @@ def cmd_prepare(args) -> int:
             min_degree=args.min_degree,
             seed=args.seed,
         )
-        source = "synthetic"
     else:
-        if args.input is None:
-            print("error: either --input or --synthetic is required", file=sys.stderr)
-            return 2
         ds = load_interactions(args.input, format=args.format)
-        source = str(args.input)
     try:
         split = split_holdout(ds, args.ratio, args.seed)
     except ValueError as exc:
@@ -220,8 +217,7 @@ def _sweep_cell(cfg: RunConfig, run_dir: str, resume: bool) -> dict:
         if not done:
             train(cfg, ds, out_dir=run_path)
         row = _read_final_metrics(run_path / "metrics.csv")
-        manifest = json.loads((run_path / "split_manifest.json").read_text(encoding="utf-8"))
-        total = (manifest["num_users"] + manifest["num_items"]) * cfg.dim
+        total = (ds.num_users + ds.num_items) * cfg.dim
         active = target_active_count(total, cfg.effective_sparsity)
         return {
             "status": "ok",
@@ -392,10 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="load or synthesize interactions and write a split")
-    p.add_argument("--input", type=Path, default=None, help="interaction file to load")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", type=Path, help="interaction file to load")
+    source.add_argument("--synthetic", action="store_true", help="generate synthetic interactions")
     p.add_argument("--format", choices=("pair-lines", "per-user-adjacency"),
                    default="pair-lines")
-    p.add_argument("--synthetic", action="store_true", help="generate synthetic interactions")
     p.add_argument("--users", type=int, default=943)
     p.add_argument("--items", type=int, default=1682)
     p.add_argument("--avg-degree", type=float, default=100.0)

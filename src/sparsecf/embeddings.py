@@ -21,7 +21,8 @@ Every read of the dense table goes through weights: a read-only
 once per loss, per evaluation or per check; under an all-active mask it
 is a view of the values, with no copy. masked_step updates the values
 in place, with no gather or scatter; besides it, only an exploration
-event writes them, zeroing the ones it prunes.
+event writes them, zeroing the ones it prunes while it takes the growth
+gradient.
 
 A checkpoint stores the active values alone, plus the mask as a packed
 bitset or, where that is smaller, as Elias–Fano-coded active positions,
@@ -111,7 +112,11 @@ class EmbeddingTable:
         return self._index
 
     def _on(self, mask: "SparseMask") -> bool:
-        """Whether the values are laid out on mask's active index."""
+        """Whether the values are laid out on mask's active index. Every read
+        of the table through a mask asks this first, so a mask of another
+        shape raises ValueError here."""
+        if mask.bits.shape != self.shape:
+            raise ValueError(f"mask shape {mask.bits.shape} != table shape {self.shape}")
         if self._bits is None:
             return mask.active_count == mask.total
         return self._bits is mask.bits
@@ -131,8 +136,6 @@ class EmbeddingTable:
     def follow(self, mask: "SparseMask") -> None:
         """Lay the values out on mask's active index: entries the mask keeps
         carry over bitwise, entries it drops go, entries new to it read zero."""
-        if mask.bits.shape != self.shape:
-            raise ValueError(f"mask shape {mask.bits.shape} != table shape {self.shape}")
         if self._on(mask):
             return
         index = mask._active_index()
@@ -362,6 +365,7 @@ def save_checkpoint(path, table: EmbeddingTable, mask: SparseMask) -> None:
     memory_bytes(active, total) plus the header line, and identical inputs
     give identical bytes.
     """
+    values = table._values_on(mask)  # raises before any byte is written
     sparsity = mask.sparsity if mask.target_sparsity is None else mask.target_sparsity
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -386,7 +390,7 @@ def save_checkpoint(path, table: EmbeddingTable, mask: SparseMask) -> None:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         for part in coded:
             fh.write(part.tobytes())
-        fh.write(table._values_on(mask).astype("<f8", copy=False))
+        fh.write(values.astype("<f8", copy=False))
 
 
 def _check_active_count(path, sparsity, total: int, active: int) -> None:

@@ -184,22 +184,31 @@ def exploration_step(
 
     The table must be laid out on mask. Zeroes the values to prune, then
     asks grad_fn for one dense gradient on a fresh batch of that table and
-    picks the largest-|grad| inactive positions to grow. The bits then move
-    in one SparseMask.move, so a non-finite gradient raises with the mask
-    unchanged, and the table follows the move's slot map: the pruned values
-    go and the grown ones start at zero. The next masked_step carries
-    Adam's moments through the same map, so grown entries start from a
-    cold optimizer state. The active count is identical before and after.
+    picks the largest-|grad| inactive positions to grow. The pruned values
+    are then put back and the bits move in one SparseMask.move, so an event
+    that raises before the move (in grad_fn, on a non-finite gradient or in
+    select_grow) leaves mask and table unchanged. The table follows the
+    move's slot map: the pruned values go and the grown ones start at zero.
+    The next masked_step carries Adam's moments through the same map, so
+    grown entries start from a cold optimizer state. The active count is
+    identical before and after.
     """
     _require_layout(table, mask)
     rho_t = update_ratio(sched, t)
     active_before = mask.active_count
     pruned = select_prune(table, mask, rho_t)
     index = mask._active_index()
-    table.values[pruned if isinstance(index, slice) else np.searchsorted(index, pruned)] = 0.0
-    grad = grad_fn()
-    _check_finite(grad, "growth gradient")
-    grown = select_grow(grad, mask, len(pruned), exclude=pruned)
+    slots = pruned if isinstance(index, slice) else np.searchsorted(index, pruned)
+    kept = table.values[slots]
+    table.values[slots] = 0.0
+    try:
+        grad = grad_fn()
+        _check_finite(grad, "growth gradient")
+        grown = select_grow(grad, mask, len(pruned), exclude=pruned)
+    finally:
+        # an aborted event leaves the table as it found it; after the move
+        # the pruned values go anyway
+        table.values[slots] = kept
     mask.move(pruned, grown)
     table.follow(mask)
     assert mask.active_count == active_before, "mask update changed the budget"

@@ -7,9 +7,10 @@ the table it trained. Under dsl, iterations that land on the exploration
 interval update the mask instead of the weights; all other iterations
 sample a batch, take the ranking gradient and apply a masked optimizer
 step.
-Everything a run writes (metrics.csv, exploration.jsonl, checkpoints,
+Everything a run writes (metrics.csv, exploration.jsonl, checkpoint.final,
 config.json, split_manifest.json, complete.json) is byte-deterministic
-given the config and seed.
+given the config and seed; _write_run_dir writes all of it, whatever the
+method.
 """
 
 from __future__ import annotations
@@ -334,10 +335,6 @@ def train(
             run.phase(mask, 0, cfg.method == "dsl", snapshot_hook)
         elif cfg.method == "omp":
             run.phase(_dense_mask(table), 0, False, snapshot_hook)
-            if out_dir is not None:
-                # omp keeps the dense table it prunes
-                Path(out_dir).mkdir(parents=True, exist_ok=True)
-                save_checkpoint(Path(out_dir) / "checkpoint.dense", table, art.mask)
             mask = one_shot_magnitude_prune(table, cfg.sparsity)
             run.phase(mask, cfg.t_end, False, snapshot_hook)
     except TrainingAborted as exc:

@@ -6,7 +6,7 @@ import pytest
 
 from sparsecf.cli import SweepSpec, main
 from sparsecf.data import load_dataset, make_dataset, sample_batch, save_dataset
-from sparsecf.trainer import train
+from sparsecf.trainer import RunConfig, train
 
 ROOT = Path(__file__).resolve().parents[1]
 DECAYS = ("cosine", "linear", "none")
@@ -66,9 +66,20 @@ def test_prepare_from_file(tmp_path, capsys):
 
 
 def test_prepare_requires_a_source(tmp_path, capsys):
-    rc = main(["prepare", "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "either --input or --synthetic" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc_info:
+        main(["prepare", "--out", str(tmp_path / "x")])
+    assert exc_info.value.code == 2
+    assert "one of the arguments --input --synthetic is required" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_prepare_takes_only_one_source(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["prepare", "--synthetic", "--input", str(tmp_path / "missing.txt"),
+              "--out", str(tmp_path / "x")])
+    assert exc_info.value.code == 2
+    assert "argument --input: not allowed with argument --synthetic" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_prepare_rejects_malformed_input(tmp_path, capsys):
@@ -443,6 +454,27 @@ def test_sweep_rejects_a_malformed_spec(data_dir, tmp_path, capsys, edit, messag
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("key", ["sparsities", "methods", "seeds"])
+def test_sweep_rejects_an_empty_list(data_dir, tmp_path, capsys, key):
+    spec = sweep_spec(tmp_path, data_dir, **{key: []})
+    rc = main(["sweep", str(spec), "--out", str(tmp_path / "sweep")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec}: sparsities, methods, and seeds must all be non-empty\n")
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_resumed_sweep_cell_sizes_its_table_from_the_split(data_dir, tmp_path):
+    spec = sweep_spec(tmp_path, data_dir, methods=["rp"], seeds=[0])
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(spec), "--out", str(out)]) == 0
+    first = (out / "runs.csv").read_text()
+    # the run's copy of the split manifest is not what a finished cell reads
+    (out / "runs" / "rp-s0.5-seed0" / "split_manifest.json").unlink()
+    assert main(["sweep", str(spec), "--out", str(out), "--resume"]) == 0
+    assert (out / "runs.csv").read_text() == first
+
+
 @pytest.mark.parametrize("sparsities, name", [
     ([0.3, 0.30000001], "rp-s0.3-seed0"),
     ([0.5, 0.5], "rp-s0.5-seed0"),
@@ -565,6 +597,24 @@ def test_report_renders_sweep_table(data_dir, tmp_path, capsys):
     assert main(["report", str(tmp_path / "sweep")]) == 0
     out = capsys.readouterr().out
     assert "method" in out and "rp" in out and "±" in out
+
+
+def test_profile_of_a_run_without_a_data_location_fails(data_dir, tmp_path, capsys):
+    # a library run leaves config.json's data_dir null
+    run = tmp_path / "run"
+    train(RunConfig(method="rp", dim=8, t_end=20, batch_size=32, eval_k=10), load_dataset(data_dir),
+          out_dir=run)
+    assert main(["profile", str(run)]) == 2
+    assert capsys.readouterr().err == "error: dataset location unknown; pass --data\n"
+    assert not (run / "profile.csv").exists()
+
+
+def test_report_of_a_run_prints_its_metrics(data_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert run_train(data_dir, run, "--method", "rp") == 0
+    capsys.readouterr()
+    assert main(["report", str(run / "metrics.csv")]) == 0
+    assert capsys.readouterr().out == (run / "metrics.csv").read_text()
 
 
 def test_report_missing_file_fails(tmp_path, capsys):

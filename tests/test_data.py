@@ -63,6 +63,13 @@ def test_header_out_of_range(tmp_path):
         load_interactions(write(tmp_path, "# users=2 items=2\n0 0\n5 0\n"))
 
 
+def test_item_index_beyond_the_header_names_file_and_index(tmp_path):
+    path = write(tmp_path, "# users=2 items=2\n0 0\n1 5\n")
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"{path}: item index 5 outside declared range [0, 2)")):
+        load_interactions(path)
+
+
 def test_negative_index_rejected(tmp_path):
     with pytest.raises(DataFormatError, match="negative"):
         load_interactions(write(tmp_path, "0 -1\n"))
@@ -91,6 +98,17 @@ def test_make_dataset_rejects_bad_edges():
         make_dataset(2, 2, [(0, 5)])
     with pytest.raises(ValueError, match="do not fit in int64"):
         make_dataset(2**32, 2**31, [(0, 0)])
+
+
+@pytest.mark.parametrize("train, test, message", [
+    ([(0, 1, 1)], (), "edges must have shape (n, 2), got (1, 3)"),
+    ([(2, 0)], (), "train user index out of range [0, 2)"),
+    ([(0, 0)], [(-1, 1)], "test user index out of range [0, 2)"),
+    ([(0, 0)], [(1, 1), (1, 1)], "duplicate (user, item) pair in test split"),
+])
+def test_make_dataset_names_what_is_wrong(train, test, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_dataset(2, 2, train, test)
 
 
 @pytest.mark.parametrize("loader", [load_interactions, lambda p: load_dataset(p.parent)])
@@ -149,6 +167,11 @@ def test_split_rejects_bad_ratio(tiny_ds):
             split_holdout(base, ratio, seed=0)
 
 
+def test_split_rejects_a_dataset_already_split(tiny_ds):
+    with pytest.raises(ValueError, match="^dataset already has a test split$"):
+        split_holdout(tiny_ds, 0.2, seed=0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     degrees=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=15),
@@ -177,6 +200,22 @@ def test_sample_batch_no_valid_negative():
     ds = make_dataset(1, 1, [(0, 0)])
     with pytest.raises(NoValidNegativeError):
         sample_batch(ds, 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("train, batch_size, message", [
+    ([(0, 0)], 0, "batch_size must be >= 1, got 0"),
+    ([], 4, "cannot sample from a dataset with no train edges"),
+])
+def test_sample_batch_rejects_what_it_cannot_draw(train, batch_size, message):
+    ds = make_dataset(1, 2, train)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_batch(ds, batch_size, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("num_users, num_items", [(0, 5), (3, 1)])
+def test_generator_needs_a_user_and_two_items(num_users, num_items):
+    with pytest.raises(ValueError, match="^need at least 1 user and 2 items$"):
+        generate_interactions(num_users, num_items, avg_degree=2.0, min_degree=0)
 
 
 def test_sample_batch_deterministic(small_split):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ from sparsecf.costs import memory_bytes
 from sparsecf.embeddings import (EmbeddingTable, INIT_SCALE, OptimizerState, SparseMask,
                                  apply_mask, init_mask, init_table, load_checkpoint, masked_step,
                                  save_checkpoint, target_active_count)
-from sparsecf.sparsifier import ExplorationSchedule, exploration_step, one_shot_magnitude_prune
+from sparsecf.sparsifier import (ExplorationSchedule, exploration_step, one_shot_magnitude_prune,
+                                 select_prune)
 from sparsecf.trainer import RunConfig, train
 
 
@@ -117,6 +119,73 @@ def test_steps_need_the_table_laid_out_on_their_mask(rng):
         masked_step(t, np.zeros((6, 4)), mask, OptimizerState("sgd", 0.1))
     with pytest.raises(ValueError, match=r"mask shape \(4, 6\) != table shape \(6, 4\)"):
         t.follow(SparseMask(np.ones((4, 6), dtype=bool)))
+
+
+_READS_THROUGH_A_MASK = {
+    "follow": lambda t, mask, path: t.follow(mask),
+    "masked_step": lambda t, mask, path: masked_step(t, np.ones((6, 4)), mask,
+                                                     OptimizerState("adam", 0.1)),
+    "exploration_step": lambda t, mask, path: exploration_step(
+        t, mask, ExplorationSchedule(0.5, 10, 100), 10, lambda: np.ones((6, 4))),
+    "select_prune": lambda t, mask, path: select_prune(t, mask, 0.5),
+    "save_checkpoint": lambda t, mask, path: save_checkpoint(path, t, mask),
+    "apply_mask": lambda t, mask, path: apply_mask(t, mask),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_READS_THROUGH_A_MASK))
+@pytest.mark.parametrize("active", [[3, 17], "all"], ids=["2_of_4x5", "all_of_5x4"])
+def test_every_read_through_a_mask_of_another_shape_raises(tmp_path, rng, read, active):
+    # a (6, 4) table, all active, against a (4, 5) mask of 2 active entries
+    # or an all-active (5, 4) one, whose active count equals its total as
+    # the table's does
+    if active == "all":
+        bits = np.ones((5, 4), dtype=bool)
+    else:
+        bits = np.zeros(20, dtype=bool)
+        bits[active] = True
+        bits = bits.reshape(4, 5)
+    t = table_of(rng.normal(size=(6, 4)))
+    values = t.values.copy()
+    path = tmp_path / "ckpt"
+    message = re.escape(f"mask shape {bits.shape} != table shape (6, 4)")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _READS_THROUGH_A_MASK[read](t, SparseMask(bits), path)
+    assert np.array_equal(t.values, values)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: EmbeddingTable(2, 3, 4, np.zeros((4, 4))),
+     "weights shape (4, 4) != (2 + 3, 4)"),
+    (lambda rng: init_table(0, 3, 4, rng), "num_users, num_items and dim must all be >= 1"),
+    (lambda rng: init_table(2, 0, 4, rng), "num_users, num_items and dim must all be >= 1"),
+    (lambda rng: init_table(2, 3, 0, rng), "num_users, num_items and dim must all be >= 1"),
+    (lambda rng: init_mask((1, 1), 0.9, rng),
+     "sparsity 0.9 leaves no active entries for 1 total"),
+    (lambda rng: masked_step(table_of(np.ones((6, 4))), np.ones((5, 4)),
+                             SparseMask(np.ones((6, 4), dtype=bool)),
+                             OptimizerState("sgd", 0.1)),
+     "grad shape (5, 4) != table shape (6, 4)"),
+])
+def test_tables_masks_and_steps_reject_bad_arguments(rng, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(rng)
+
+
+@pytest.mark.parametrize("head, message", [
+    # 1 + 1 users and items of dim 1: 2 entries, of which s = 0.9 keeps round(0.2) = 0
+    (json.dumps({"format": "sparse-embedding-v2", "num_users": 1, "num_items": 1, "dim": 1,
+                 "sparsity": 0.9, "mask": "elias-fano"}),
+     "checkpoint header sparsity 0.9 leaves no active entry of 2, which an Elias–Fano mask "
+     "cannot hold"),
+    ("sparse-embedding-v2 1 1 1", "unrecognized checkpoint format None"),
+])
+def test_checkpoint_rejects_a_header_it_cannot_read(tmp_path, head, message):
+    path = tmp_path / "ckpt"
+    path.write_bytes(head.encode() + b"\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_checkpoint(path)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,6 +12,8 @@ entry points. Every other name is imported from the module that defines it.
 And for code itself: every function, class and method defined in
 src/sparsecf is named by some code in src/sparsecf or bench/. One that only
 tests reach is dead code kept alive by its tests.
+
+And for files: in trainer.py, one function writes the run directory.
 """
 
 import ast
@@ -177,3 +179,31 @@ def test_every_definition_is_used_outside_the_tests():
               for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
               if name not in used]
     assert not unused, f"definitions that no code in src/sparsecf or bench/ names: {unused}"
+
+
+# calls that write or create files or directories
+FILE_WRITERS = {"save_checkpoint", "write_csv", "_write_split_manifest", "write_text",
+                "write_bytes", "open", "mkdir", "touch", "unlink"}
+# the one writer of a run directory, and the CSV writer it calls
+RUN_DIR_WRITERS = {"_write_run_dir", "write_csv"}
+
+
+def test_only_the_run_directory_writer_writes_files():
+    """A run directory has one writer: in trainer.py, no function but
+    _write_run_dir (and write_csv, which it calls) writes a file."""
+    tree = ast.parse((PACKAGE / "trainer.py").read_text(encoding="utf-8"))
+    owners = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            owners += [(f"{node.name}.{getattr(item, 'name', '')}", item) for item in node.body]
+        else:
+            owners.append((getattr(node, "name", "<module>"), node))
+    stray = []
+    for owner, node in owners:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in FILE_WRITERS and owner not in RUN_DIR_WRITERS:
+                    stray.append(f"{owner}: {name} (line {call.lineno})")
+    assert not stray, f"file writes outside the run directory's writer: {stray}"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,3 +288,42 @@ def test_event_log_entry_counts_and_positions():
                               "sparsity_after": 0.5}
     assert ev.pruned_positions.tolist() == [1, 5]
     assert ev.grown_positions.tolist() == [2, 7]
+
+
+def _raise_non_finite_loss():
+    raise FloatingPointError("non-finite loss")
+
+
+@pytest.mark.parametrize("sparsity, grad_fn, error, message", [
+    (0.5, _raise_non_finite_loss, FloatingPointError, "non-finite loss"),
+    (0.5, lambda: np.full((4, 2), np.inf), FloatingPointError,
+     "non-finite growth gradient at position (0, 0)"),
+    # 7 of 8 entries active: the event prunes 3 and finds 1 to grow
+    (0.125, lambda: np.ones((4, 2)), ValueError, "cannot grow 3 entries, only 1 eligible"),
+    # all active, so the table is laid out on no bits of its own
+    (0.0, lambda: np.ones((4, 2)), ValueError, "cannot grow 4 entries, only 0 eligible"),
+])
+def test_an_aborted_exploration_event_leaves_the_table_as_it_was(rng, sparsity, grad_fn, error,
+                                                                 message):
+    t = EmbeddingTable(2, 2, 2, rng.normal(size=(4, 2)))
+    mask = init_mask((4, 2), sparsity, rng)
+    t.follow(mask)
+    values, bits = t.values.copy(), mask.bits.copy()
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        exploration_step(t, mask, ExplorationSchedule(0.5, 10, 100, "none"), 10, grad_fn)
+    assert np.array_equal(t.values, values)
+    assert np.array_equal(mask.bits, bits)
+
+
+@pytest.mark.parametrize("rho_t", [-0.1, 1.5])
+def test_select_prune_rejects_a_ratio_outside_zero_to_one(rng, rho_t):
+    t = EmbeddingTable(2, 2, 2, rng.normal(size=(4, 2)))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'rho_t must be in [0, 1], got {rho_t}')}$"):
+        select_prune(t, SparseMask(np.ones((4, 2), dtype=bool)), rho_t)
+
+
+def test_one_shot_prune_that_keeps_nothing_is_rejected():
+    # 2 entries at s = 0.9 keep round(0.2) = 0
+    t = EmbeddingTable(1, 1, 1, np.array([[1.0], [2.0]]))
+    with pytest.raises(ValueError, match="^sparsity 0.9 keeps no entries$"):
+        one_shot_magnitude_prune(t, 0.9)

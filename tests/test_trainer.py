@@ -294,15 +294,32 @@ def test_event_counts_logged_by_default(tmp_path, small_split):
 # omp pipeline
 
 
-def test_omp_prunes_exactly_the_dense_top_magnitudes(tmp_path, small_split):
+def test_omp_prunes_exactly_the_dense_top_magnitudes(small_split):
     cfg = quick_cfg(method="omp", t_end=40, eval_every=20)
-    art = train(cfg, small_split, out_dir=tmp_path / "omp")
-    dense_table, _ = load_checkpoint(tmp_path / "omp" / "checkpoint.dense")
-    want = one_shot_magnitude_prune(dense_table, cfg.sparsity)
+    dense = []
+
+    def hook(t, table, mask):
+        if t == cfg.t_end:  # the dense phase's last snapshot: the table omp prunes
+            dense.append(EmbeddingTable(table.num_users, table.num_items, table.dim,
+                                        table.weights))
+
+    art = train(cfg, small_split, snapshot_hook=hook)
+    want = one_shot_magnitude_prune(dense[0], cfg.sparsity)
     assert np.array_equal(art.mask.bits, want.bits)
     assert [r["iteration"] for r in art.metrics] == [20, 40, 60, 80]
     assert art.metrics[0]["sparsity"] == 0.0
     assert art.metrics[-1]["sparsity"] == art.mask.sparsity
+
+
+def test_omp_run_directory_holds_the_files_of_a_dsl_one(tmp_path, small_split):
+    names = {}
+    for method in ("omp", "dsl"):
+        train(quick_cfg(method=method, t_end=30), small_split, out_dir=tmp_path / method)
+        names[method] = sorted(p.name for p in (tmp_path / method).iterdir())
+    assert names["omp"] == names["dsl"] == [
+        "checkpoint.final", "complete.json", "config.json", "exploration.jsonl", "metrics.csv",
+        "split_manifest.json",
+    ]
 
 
 def test_omp_mask_is_static_during_fine_tune(small_split):
@@ -340,7 +357,7 @@ def test_diverging_run_aborts_and_keeps_artifacts(tmp_path, small_split, method)
     assert err.iteration == 2
     assert "non-finite" in str(err)
     out = tmp_path / "run"
-    # omp aborts in its dense phase, before it keeps the dense table
+    # every method writes the same files, also when it aborts
     assert sorted(p.name for p in out.iterdir()) == [
         "checkpoint.final", "config.json", "exploration.jsonl", "metrics.csv",
         "split_manifest.json",
